@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use nextdoor_gpu::rng;
-use nextdoor_graph::{cluster_vertices, Csr, VertexId};
+use nextdoor_graph::{Csr, VertexId};
 
 /// A random-walk transition rule, the extent of KnightKing's API.
 pub trait WalkRule: Sync {
@@ -130,113 +130,6 @@ pub fn run_knightking(
         walks,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         threads,
-    }
-}
-
-/// Result of a sharded KnightKing run: the same walks as
-/// [`run_knightking`], plus the distribution telemetry.
-pub struct ShardedKnightKingResult {
-    /// One walk per walker, bit-identical to the unsharded run.
-    pub walks: Vec<Vec<VertexId>>,
-    /// Wall-clock milliseconds.
-    pub wall_ms: f64,
-    /// Shards the graph was partitioned into.
-    pub shards: usize,
-    /// Super-steps executed (global barriers).
-    pub super_steps: usize,
-    /// Walker hand-offs between shards (one per walker per cross-shard
-    /// transition).
-    pub handoffs: u64,
-}
-
-/// KnightKing's distributed execution model: the graph partitioned across
-/// `shards` workers, walkers queued on the shard owning their current
-/// vertex, advanced one step per **super-step**, then exchanged — a walker
-/// whose new vertex lives on another shard is handed off (its RNG counter
-/// travels with it). Shards are drained in canonical index order each
-/// super-step, so the run is deterministic, and because every draw comes
-/// from the walker's own [`WalkerRng`] (keyed, not shared), the walks are
-/// **bit-identical** to the single-machine [`run_knightking`] of the same
-/// `(graph, rule, roots, seed)`.
-///
-/// # Panics
-///
-/// Panics if `roots` is empty, or the graph cannot be partitioned into
-/// `shards` non-empty clusters.
-pub fn run_knightking_sharded(
-    graph: &Csr,
-    rule: &dyn WalkRule,
-    roots: &[VertexId],
-    seed: u64,
-    shards: usize,
-    placement_seed: u64,
-) -> ShardedKnightKingResult {
-    assert!(!roots.is_empty(), "need at least one walker");
-    let t0 = Instant::now();
-    let clustering = match cluster_vertices(graph, shards, placement_seed) {
-        Ok(c) => c,
-        Err(e) => panic!("cannot shard the graph {shards} ways: {e}"),
-    };
-    let n = roots.len();
-
-    struct Walker {
-        rng: WalkerRng,
-        cur: VertexId,
-        prev: Option<VertexId>,
-        steps_left: usize,
-    }
-    let mut walks: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-    let mut walkers: Vec<Walker> = Vec::with_capacity(n);
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (w, &root) in roots.iter().enumerate() {
-        walks.push(vec![root]);
-        walkers.push(Walker {
-            rng: WalkerRng::new(seed, w),
-            cur: root,
-            prev: None,
-            steps_left: rule.max_steps(),
-        });
-        queues[clustering.cluster_of(root) as usize].push(w);
-    }
-
-    let mut super_steps = 0usize;
-    let mut handoffs = 0u64;
-    while queues.iter().any(|q| !q.is_empty()) {
-        super_steps += 1;
-        let mut next: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (s, queue) in queues.iter().enumerate() {
-            for &w in queue {
-                let walker = &mut walkers[w];
-                if walker.steps_left == 0 {
-                    continue;
-                }
-                walker.steps_left -= 1;
-                match rule.step(graph, walker.cur, walker.prev, &mut walker.rng) {
-                    Some(nxt) => {
-                        walks[w].push(nxt);
-                        walker.prev = Some(walker.cur);
-                        walker.cur = nxt;
-                        if walker.steps_left > 0 {
-                            let owner = clustering.cluster_of(nxt) as usize;
-                            if owner != s {
-                                handoffs += 1;
-                            }
-                            next[owner].push(w);
-                        }
-                    }
-                    None => walker.steps_left = 0,
-                }
-            }
-        }
-        queues = next;
-    }
-
-    ShardedKnightKingResult {
-        walks,
-        wall_ms: t0.elapsed().as_secs_f64() * 1e3,
-        shards,
-        super_steps,
-        handoffs,
     }
 }
 
@@ -426,44 +319,6 @@ mod tests {
         assert!(
             (2.5..7.0).contains(&mean),
             "mean length {mean}, expected ~4"
-        );
-    }
-
-    #[test]
-    fn sharded_walks_are_bit_identical_to_single_machine() {
-        let g = rmat(8, 2000, RmatParams::SKEWED, 1).with_random_weights(1.0, 5.0, 2);
-        let roots: Vec<VertexId> = (0..60).map(|i| i * 7 % 256).collect();
-        let rule = DeepWalkRule { length: 15 };
-        let solo = run_knightking(&g, &rule, &roots, 11, 4);
-        for shards in [1, 2, 4] {
-            let sharded = run_knightking_sharded(&g, &rule, &roots, 11, shards, 0x5AD0);
-            assert_eq!(
-                sharded.walks, solo.walks,
-                "{shards}-shard walks must match the single-machine run"
-            );
-            assert_eq!(sharded.shards, shards);
-            assert!(sharded.super_steps >= 1);
-            if shards == 1 {
-                assert_eq!(sharded.handoffs, 0, "one shard has nowhere to hand off");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_second_order_walks_match_too() {
-        let g = ring_lattice(128, 3, 0);
-        let roots: Vec<VertexId> = (0..64).collect();
-        let rule = Node2VecRule {
-            length: 10,
-            p: 2.0,
-            q: 0.5,
-        };
-        let solo = run_knightking(&g, &rule, &roots, 21, 2);
-        let sharded = run_knightking_sharded(&g, &rule, &roots, 21, 3, 7);
-        assert_eq!(sharded.walks, solo.walks);
-        assert!(
-            sharded.handoffs > 0,
-            "a ring walk across 3 shards must cross a boundary"
         );
     }
 

@@ -1,4 +1,5 @@
-//! The shared step loop of the three GPU engines.
+//! The shared step loop of the GPU engines, and the one device step every
+//! placement runs.
 //!
 //! The engines differ only in how each step's `next` invocations are
 //! scheduled onto the GPU; everything else — transit planning, collective
@@ -8,20 +9,29 @@
 //! mode (§8.4) reuses the same loop with a residency descriptor that charges
 //! per-step sub-graph transfers.
 //!
+//! Every placement runs the same per-device step, [`run_device_step`]: stage
+//! the step's transits, allocate the outputs, run the engine's kernels over
+//! a pair list, dedup, and retry on faults. A single device runs it over
+//! all live pairs of a step; a graph shard
+//! ([`ShardedSampler`](crate::sharded::ShardedSampler)) runs it over the
+//! pairs whose transit it owns. So this module alone decides how a device
+//! runs a step and when it gives up.
+//!
 //! # Fault recovery
 //!
 //! Device faults (injected via [`nextdoor_gpu::FaultPlan`] or real) surface
 //! through two channels: fallible allocations return `Err(OutOfMemory)`, and
 //! kernel launches record [`nextdoor_gpu::FaultEvent`]s drained with
-//! `take_faults()`. The step loop drains events at step granularity: a step
-//! whose execution observed any fault discards its outputs and re-executes —
+//! `take_faults()`. The device step drains events at step granularity: an
+//! attempt that observed any fault discards its outputs and re-executes —
 //! sound because the sampling RNG is counter-based, keyed by
 //! `(seed, sample, step, slot)`, so a re-run is bit-identical. A step still
 //! faulting after [`MAX_STEP_RETRIES`] retries fails the run with
-//! [`NextDoorError::KernelFault`]; device loss is never retried locally and
-//! surfaces as [`NextDoorError::DeviceLost`] for the multi-GPU layer to
-//! fail over. An upload that does not fit degrades the NextDoor engine to
-//! the out-of-core engine instead of failing.
+//! [`NextDoorError::KernelFault`]. Device loss is never retried locally: it
+//! comes back as `None` and each placement maps it — a single device fails
+//! with [`NextDoorError::DeviceLost`] for the multi-GPU layer to fail over,
+//! a shard leaves the fleet. An upload that does not fit degrades the
+//! NextDoor engine to the out-of-core engine instead of failing.
 
 use crate::api::{SamplingApp, SamplingType, NULL_VERTEX};
 use crate::engine::collective::{
@@ -32,6 +42,7 @@ use crate::engine::kernels::{
     block_class_work, charge_step_transits, grid_class_work, run_sample_parallel_kernel,
     run_subwarp_kernel, run_transit_block_kernel, BlockWork, StepExec, StepOut,
 };
+use crate::engine::profile::RunProfile;
 use crate::engine::scheduling::{build_scheduling_index, partition_kernel_classes_tuned};
 use crate::engine::{
     finish_step, plan_step, step_budget, unique, EngineStats, RunResult, SampleKeys, StepPlan,
@@ -41,12 +52,12 @@ use crate::gpu_graph::GpuGraph;
 use crate::large_graph::GraphPartitions;
 use crate::store::SampleStore;
 use crate::tuning::{HotTransitCache, KernelTuning, TuningPlan};
-use nextdoor_gpu::{DeviceBuffer, Gpu, OutOfMemory};
+use nextdoor_gpu::{Counters, DeviceBuffer, FaultEvent, Gpu, OutOfMemory};
 use nextdoor_graph::{Csr, VertexId};
 
 /// How many times a faulted step is re-executed before the run fails with
 /// [`NextDoorError::KernelFault`].
-pub(crate) const MAX_STEP_RETRIES: usize = 3;
+const MAX_STEP_RETRIES: usize = 3;
 
 /// Which parallelisation strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,8 +99,8 @@ fn key_bound(pairs: &[(VertexId, u32)], tuning: &TuningPlan, num_vertices: usize
         .unwrap_or(num_vertices)
 }
 
-/// Executes one step's `next` invocations under `kind`, filling `out`.
-/// Returns the cycles spent building the scheduling index.
+/// Executes one step's `next` invocations over `pairs` under `kind`,
+/// filling `out`. Returns the cycles spent building the scheduling index.
 ///
 /// `tuning` supplies the session's [`TuningPlan`] (the default plan
 /// reproduces the untuned engine byte-identically) and `cache` the
@@ -101,42 +112,42 @@ fn key_bound(pairs: &[(VertexId, u32)], tuning: &TuningPlan, num_vertices: usize
 /// # Errors
 ///
 /// Returns [`OutOfMemory`] when a scheduling-stage device allocation fails
-/// (genuinely or through a scripted fault); the step loop classifies the
-/// failure and retries the step when the fault was injected.
-pub(crate) fn exec_step(
+/// (genuinely or through a scripted fault); [`run_device_step`] retries
+/// the step when the fault was injected.
+#[allow(clippy::too_many_arguments)]
+fn exec_step(
     gpu: &mut Gpu,
     ex: &StepExec<'_>,
     kind: GpuEngineKind,
+    pairs: &[(VertexId, u32)],
     transit_buf: &DeviceBuffer<u32>,
     tuning: &TuningPlan,
     mut cache: Option<&mut HotTransitCache>,
     out: &mut StepOut,
 ) -> Result<f64, OutOfMemory> {
-    let ns = ex.store.num_samples();
     let plan = ex.plan;
     let mut sched_cycles = 0.0;
     match ex.app.sampling_type() {
         SamplingType::Individual => match kind {
             GpuEngineKind::NextDoor => {
-                let pairs = live_pairs(plan, ns);
                 let (sub_warp, max_block) = (tuning.sub_warp_threshold, tuning.max_block_threads);
                 let c0 = gpu.counters().cycles;
                 let memo = cache
                     .as_deref_mut()
-                    .and_then(|c| c.lookup_sched(&pairs, plan.m, sub_warp, max_block));
+                    .and_then(|c| c.lookup_sched(pairs, plan.m, sub_warp, max_block));
                 let (index, classes) = match memo {
                     Some(hit) => hit,
                     None => {
                         let index = build_scheduling_index(
                             gpu,
-                            &pairs,
-                            key_bound(&pairs, tuning, ex.graph.num_vertices()),
+                            pairs,
+                            key_bound(pairs, tuning, ex.graph.num_vertices()),
                         )?;
                         let classes = partition_kernel_classes_tuned(
                             gpu, &index, plan.m, sub_warp, max_block,
                         )?;
                         if let Some(c) = cache.as_deref_mut() {
-                            c.store_sched(&pairs, plan.m, sub_warp, max_block, &index, &classes);
+                            c.store_sched(pairs, plan.m, sub_warp, max_block, &index, &classes);
                         }
                         (index, classes)
                     }
@@ -157,12 +168,11 @@ pub(crate) fn exec_step(
                 run_sample_parallel_kernel(gpu, ex, transit_buf, out);
             }
             GpuEngineKind::VanillaTp => {
-                let pairs = live_pairs(plan, ns);
                 let c0 = gpu.counters().cycles;
                 let index = build_scheduling_index(
                     gpu,
-                    &pairs,
-                    key_bound(&pairs, tuning, ex.graph.num_vertices()),
+                    pairs,
+                    key_bound(pairs, tuning, ex.graph.num_vertices()),
                 )?;
                 sched_cycles += gpu.counters().cycles - c0;
                 let bw: Vec<BlockWork> = (0..index.segments.len())
@@ -180,12 +190,11 @@ pub(crate) fn exec_step(
             let mut comb = prepare_combined(gpu, ex);
             match kind {
                 GpuEngineKind::NextDoor | GpuEngineKind::VanillaTp => {
-                    let pairs = live_pairs(plan, ns);
                     let c0 = gpu.counters().cycles;
                     let index = build_scheduling_index(
                         gpu,
-                        &pairs,
-                        key_bound(&pairs, tuning, ex.graph.num_vertices()),
+                        pairs,
+                        key_bound(pairs, tuning, ex.graph.num_vertices()),
                     )?;
                     sched_cycles += gpu.counters().cycles - c0;
                     build_combined_transit_parallel(gpu, ex, &index, &mut comb);
@@ -200,28 +209,139 @@ pub(crate) fn exec_step(
     Ok(sched_cycles)
 }
 
-/// Classifies a fallible device allocation: `Ok(Some(_))` succeeded,
-/// `Ok(None)` hit an injected fault (absorbed into `report`; retry the
-/// operation), `Err(_)` is genuine memory exhaustion or device loss.
-pub(crate) fn absorb_alloc_fault<T>(
+/// Why one attempt at a device operation did not come back clean.
+enum Fault {
+    /// A fallible allocation failed: injected when it left a fault event
+    /// behind, genuine memory exhaustion otherwise.
+    Alloc(OutOfMemory),
+    /// The attempt ran, but its launches recorded these fault events.
+    Launch(Vec<FaultEvent>),
+}
+
+impl From<OutOfMemory> for Fault {
+    fn from(oom: OutOfMemory) -> Self {
+        Fault::Alloc(oom)
+    }
+}
+
+/// Runs `attempt` until it comes back clean, absorbing every injected
+/// fault into `report` and re-running it (see the module docs).
+///
+/// Returns `Ok(None)` when the device is lost; each placement maps that
+/// itself. Genuine memory exhaustion propagates, and an operation still
+/// faulting after [`MAX_STEP_RETRIES`] retries fails with
+/// [`NextDoorError::KernelFault`] for `step`.
+fn retry_faults<T>(
     gpu: &mut Gpu,
     report: &mut FaultReport,
-    res: Result<T, OutOfMemory>,
+    step: usize,
+    mut attempt: impl FnMut(&mut Gpu) -> Result<T, Fault>,
 ) -> Result<Option<T>, NextDoorError> {
-    match res {
-        Ok(v) => Ok(Some(v)),
-        Err(oom) => {
-            let events = gpu.take_faults();
-            if events.is_empty() {
-                // No fault event means the device is genuinely full.
-                return Err(oom.into());
+    if gpu.device_lost() {
+        return Ok(None);
+    }
+    let mut retries = 0usize;
+    loop {
+        let events = match attempt(gpu) {
+            Ok(v) => return Ok(Some(v)),
+            Err(Fault::Launch(events)) => events,
+            Err(Fault::Alloc(oom)) => {
+                let events = gpu.take_faults();
+                if events.is_empty() {
+                    // No fault event means the device is genuinely full.
+                    return Err(oom.into());
+                }
+                events
             }
-            report.absorb(&events);
-            if gpu.device_lost() {
-                return Err(NextDoorError::DeviceLost { device: 0 });
-            }
-            Ok(None)
+        };
+        report.absorb(&events);
+        if gpu.device_lost() {
+            return Ok(None);
         }
+        if retries >= MAX_STEP_RETRIES {
+            return Err(NextDoorError::KernelFault { step, retries });
+        }
+        retries += 1;
+        report.step_retries += 1;
+    }
+}
+
+/// Uploads the initial frontier (every sample's seed vertices) before
+/// step 0, retried like a step. `Ok(None)` means the device is lost.
+pub(crate) fn upload_frontier(
+    gpu: &mut Gpu,
+    report: &mut FaultReport,
+    init: &[Vec<VertexId>],
+) -> Result<Option<DeviceBuffer<u32>>, NextDoorError> {
+    let flat: Vec<u32> = init.iter().flatten().copied().collect();
+    retry_faults(gpu, report, 0, |gpu| Ok(gpu.try_to_device(&flat)?))
+}
+
+/// The fault-tolerant device step every placement runs.
+///
+/// Stages the step's transits (`stage`: the transit values and the slots
+/// per sample they are charged with) from the previous frontier
+/// `prev_buf`, allocates the outputs, runs `kind`'s kernels over `pairs`,
+/// deduplicates, and re-runs a faulted attempt under the retry budget.
+/// Returns the outputs plus the cycles every attempt spent building
+/// scheduling indices, or `None` when the device is lost.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_device_step(
+    gpu: &mut Gpu,
+    ex: &StepExec<'_>,
+    kind: GpuEngineKind,
+    stage: (&[VertexId], usize),
+    pairs: &[(VertexId, u32)],
+    prev_buf: &DeviceBuffer<u32>,
+    tuning: &TuningPlan,
+    mut cache: Option<&mut HotTransitCache>,
+    report: &mut FaultReport,
+) -> Result<Option<(StepOut, f64)>, NextDoorError> {
+    let (transits, tps) = stage;
+    let (ns, slots, step) = (ex.store.num_samples(), ex.plan.slots, ex.plan.step);
+    let mut sched_cycles = 0.0;
+    let out = retry_faults(gpu, report, step, |gpu| {
+        let transit_buf = gpu.try_alloc::<u32>(transits.len())?;
+        charge_step_transits(gpu, prev_buf, &transit_buf, transits, tps);
+        let mut out = StepOut::try_new(gpu, ns, slots)?;
+        let cache = cache.as_deref_mut();
+        sched_cycles += exec_step(gpu, ex, kind, pairs, &transit_buf, tuning, cache, &mut out)?;
+        if ex.app.unique(step) {
+            unique::dedup_values_gpu(gpu, &mut out.values, slots, ns);
+        }
+        let events = gpu.take_faults();
+        if events.is_empty() {
+            Ok(out)
+        } else {
+            Err(Fault::Launch(events))
+        }
+    })?;
+    Ok(out.map(|out| (out, sched_cycles)))
+}
+
+/// Per-run accounting of the step loop, folded into [`EngineStats`] by
+/// [`engine_stats`].
+#[derive(Default)]
+pub(crate) struct StepTally {
+    pub sched_cycles: f64,
+    pub transfer_cycles: f64,
+    pub transfers: usize,
+    pub steps_run: usize,
+    /// Per executed step: `(step, first_launch, end_launch)` bracketing the
+    /// step's kernel launches (retried attempts included) by the device's
+    /// monotonic launch index, for the per-step profile breakdown.
+    pub step_marks: Vec<(usize, u64, u64)>,
+}
+
+impl StepTally {
+    /// Adds a later run on the same device (a fused batch's next width
+    /// class).
+    pub(crate) fn merge(&mut self, other: StepTally) {
+        self.sched_cycles += other.sched_cycles;
+        self.transfer_cycles += other.transfer_cycles;
+        self.transfers += other.transfers;
+        self.steps_run += other.steps_run;
+        self.step_marks.extend(other.step_marks);
     }
 }
 
@@ -229,18 +349,13 @@ pub(crate) fn absorb_alloc_fault<T>(
 /// from the GPU counters.
 pub(crate) struct StepLoopOut {
     pub store: SampleStore,
-    pub sched_cycles: f64,
-    pub transfer_cycles: f64,
-    pub transfers: usize,
-    pub steps_run: usize,
     pub report: FaultReport,
-    /// Per executed step: `(step, first_launch, end_launch)` bracketing the
-    /// step's kernel launches (retried attempts included) by the device's
-    /// monotonic launch index, for the per-step profile breakdown.
-    pub step_marks: Vec<(usize, u64, u64)>,
+    pub tally: StepTally,
 }
 
-/// The engine-independent, fault-tolerant step loop.
+/// The engine-independent, fault-tolerant step loop of one device: every
+/// step runs [`run_device_step`] over all live pairs and the full transit
+/// array.
 ///
 /// With `residency` set, the graph is assumed host-staged and each step
 /// first transfers the sub-graphs holding live transits (out-of-core mode;
@@ -259,33 +374,11 @@ pub(crate) fn run_step_loop(
     tuning: &TuningPlan,
     mut cache: Option<&mut HotTransitCache>,
 ) -> Result<StepLoopOut, NextDoorError> {
-    if gpu.device_lost() {
-        return Err(NextDoorError::DeviceLost { device: 0 });
-    }
+    let lost = || NextDoorError::DeviceLost { device: 0 };
     let mut report = FaultReport::default();
     let mut store = SampleStore::new(init.to_vec());
-    let mut sched_cycles = 0.0;
-    let mut transfer_cycles = 0.0;
-    let mut transfers = 0usize;
-    let mut steps_run = 0usize;
-    let mut step_marks: Vec<(usize, u64, u64)> = Vec::new();
-    let init_flat: Vec<u32> = init.iter().flatten().copied().collect();
-    let mut prev_buf = {
-        let mut retries = 0usize;
-        loop {
-            let res = gpu.try_to_device(&init_flat);
-            match absorb_alloc_fault(gpu, &mut report, res)? {
-                Some(b) => break b,
-                None => {
-                    if retries >= MAX_STEP_RETRIES {
-                        return Err(NextDoorError::KernelFault { step: 0, retries });
-                    }
-                    retries += 1;
-                    report.step_retries += 1;
-                }
-            }
-        }
-    };
+    let mut tally = StepTally::default();
+    let mut prev_buf = upload_frontier(gpu, &mut report, init)?.ok_or_else(lost)?;
     for step in 0..step_budget(app) {
         let plan = plan_step(app, &store, step, keys);
         if plan.live == 0 {
@@ -303,135 +396,90 @@ pub(crate) fn run_step_loop(
             for (p, used) in needed.iter().enumerate() {
                 if *used {
                     gpu.charge_htod(parts.bytes_of(p));
-                    transfers += 1;
+                    tally.transfers += 1;
                 }
             }
-            transfer_cycles += gpu.counters().cycles - c0;
+            tally.transfer_cycles += gpu.counters().cycles - c0;
         }
-        let ns = store.num_samples();
-        let mut retries = 0usize;
         let step_launch0 = gpu.launches_issued();
-        let (values, edges, step_buf) = loop {
-            // A faulted attempt falls through to the retry bookkeeping at
-            // the bottom; allocation faults restart the attempt directly.
-            let res = gpu.try_alloc::<u32>(ns * plan.tps);
-            let Some(transit_buf) = absorb_alloc_fault(gpu, &mut report, res)? else {
-                if retries >= MAX_STEP_RETRIES {
-                    return Err(NextDoorError::KernelFault { step, retries });
-                }
-                retries += 1;
-                report.step_retries += 1;
-                continue;
-            };
-            charge_step_transits(gpu, &prev_buf, &transit_buf, &plan.transits, plan.tps);
-            let res = StepOut::try_new(gpu, ns, plan.slots);
-            let Some(mut out) = absorb_alloc_fault(gpu, &mut report, res)? else {
-                if retries >= MAX_STEP_RETRIES {
-                    return Err(NextDoorError::KernelFault { step, retries });
-                }
-                retries += 1;
-                report.step_retries += 1;
-                continue;
-            };
-            {
-                let ex = StepExec {
-                    graph,
-                    gg,
-                    app,
-                    store: &store,
-                    plan: &plan,
-                    keys,
-                };
-                let res = exec_step(
-                    gpu,
-                    &ex,
-                    kind,
-                    &transit_buf,
-                    tuning,
-                    cache.as_deref_mut(),
-                    &mut out,
-                );
-                let Some(cycles) = absorb_alloc_fault(gpu, &mut report, res)? else {
-                    if retries >= MAX_STEP_RETRIES {
-                        return Err(NextDoorError::KernelFault { step, retries });
-                    }
-                    retries += 1;
-                    report.step_retries += 1;
-                    continue;
-                };
-                sched_cycles += cycles;
-            }
-            let StepOut {
-                mut values,
-                edges,
-                step_buf,
-            } = out;
-            if app.unique(step) {
-                unique::dedup_values_gpu(gpu, &mut values, plan.slots, ns);
-            }
-            let events = gpu.take_faults();
-            if events.is_empty() {
-                break (values, edges, step_buf);
-            }
-            // The attempt observed at least one fault: its outputs cannot
-            // be trusted. Discard them and re-execute — the RNG is keyed by
-            // (seed, sample, step, slot), so a clean re-run reproduces the
-            // exact values a fault-free run would have produced.
-            report.absorb(&events);
-            if gpu.device_lost() {
-                return Err(NextDoorError::DeviceLost { device: 0 });
-            }
-            if retries >= MAX_STEP_RETRIES {
-                return Err(NextDoorError::KernelFault { step, retries });
-            }
-            retries += 1;
-            report.step_retries += 1;
+        let pairs = live_pairs(&plan, store.num_samples());
+        let ex = StepExec {
+            graph,
+            gg,
+            app,
+            store: &store,
+            plan: &plan,
+            keys,
         };
-        let live_this_step = values.iter().any(|&v| v != NULL_VERTEX);
-        finish_step(app, &mut store, &plan, values, edges);
-        steps_run += 1;
-        step_marks.push((step, step_launch0, gpu.launches_issued()));
-        prev_buf = step_buf;
+        let (out, cycles) = run_device_step(
+            gpu,
+            &ex,
+            kind,
+            (&plan.transits, plan.tps),
+            &pairs,
+            &prev_buf,
+            tuning,
+            cache.as_deref_mut(),
+            &mut report,
+        )?
+        .ok_or_else(lost)?;
+        tally.sched_cycles += cycles;
+        let live_this_step = out.values.iter().any(|&v| v != NULL_VERTEX);
+        finish_step(app, &mut store, &plan, out.values, out.edges);
+        tally.steps_run += 1;
+        tally
+            .step_marks
+            .push((step, step_launch0, gpu.launches_issued()));
+        prev_buf = out.step_buf;
         if !live_this_step {
             break;
         }
     }
     Ok(StepLoopOut {
         store,
-        sched_cycles,
-        transfer_cycles,
-        transfers,
-        steps_run,
         report,
-        step_marks,
+        tally,
     })
 }
 
-/// Folds a finished step loop into a [`RunResult`]: counter deltas since
-/// `counters0`, the per-kernel profile of launches since `launch0`, and the
-/// simulated-time breakdown. Shared by the one-shot entry points and the
+/// The one counter → [`EngineStats`] fold: counter deltas since
+/// `counters0`, the per-kernel profile of launches since `launch0`, and
+/// the simulated-time split. Transfer time (out-of-core runs only) is
+/// neither scheduling nor sampling.
+pub(crate) fn engine_stats(
+    gpu: &Gpu,
+    counters0: &Counters,
+    launch0: u64,
+    tally: &StepTally,
+) -> EngineStats {
+    let counters = gpu.counters().diff(counters0);
+    let profile = RunProfile::from_device(gpu, launch0, &tally.step_marks);
+    let spec = gpu.spec();
+    let total_ms = spec.cycles_to_ms(counters.cycles);
+    let scheduling_ms = spec.cycles_to_ms(tally.sched_cycles);
+    let transfer_ms = spec.cycles_to_ms(tally.transfer_cycles);
+    EngineStats {
+        total_ms,
+        sampling_ms: total_ms - scheduling_ms - transfer_ms,
+        scheduling_ms,
+        counters,
+        steps_run: tally.steps_run,
+        profile,
+    }
+}
+
+/// Folds a finished step loop into a [`RunResult`] (see [`engine_stats`]).
+/// Shared by the one-shot entry points, the out-of-core engine and the
 /// persistent [`SamplerSession`](crate::session::SamplerSession).
 pub(crate) fn finish_run(
     gpu: &Gpu,
-    counters0: &nextdoor_gpu::Counters,
+    counters0: &Counters,
     launch0: u64,
     out: StepLoopOut,
 ) -> RunResult {
-    let counters = gpu.counters().diff(counters0);
-    let profile = crate::engine::profile::RunProfile::from_device(gpu, launch0, &out.step_marks);
-    let spec = gpu.spec();
-    let total_ms = spec.cycles_to_ms(counters.cycles);
-    let scheduling_ms = spec.cycles_to_ms(out.sched_cycles);
     RunResult {
+        stats: engine_stats(gpu, counters0, launch0, &out.tally),
         store: out.store,
-        stats: EngineStats {
-            total_ms,
-            sampling_ms: total_ms - scheduling_ms,
-            scheduling_ms,
-            counters,
-            steps_run: out.steps_run,
-            profile,
-        },
         report: out.report,
     }
 }

@@ -18,8 +18,8 @@
 //! samples because both modes share `run_step_loop`.
 
 use crate::api::SamplingApp;
-use crate::engine::driver::{run_step_loop, GpuEngineKind};
-use crate::engine::{EngineStats, RunResult};
+use crate::engine::driver::{finish_run, run_step_loop, GpuEngineKind};
+use crate::engine::RunResult;
 use crate::error::{validate_run, NextDoorError};
 use crate::gpu_graph::GpuGraph;
 use nextdoor_gpu::Gpu;
@@ -94,8 +94,6 @@ pub fn partition_graph(graph: &Csr, budget_bytes: usize) -> Result<GraphPartitio
 /// Statistics specific to an out-of-core run.
 #[derive(Debug, Clone, Default)]
 pub struct OutOfCoreStats {
-    /// Engine statistics (transfer time included in `total_ms`).
-    pub engine: EngineStats,
     /// Milliseconds spent transferring sub-graphs.
     pub transfer_ms: f64,
     /// Sub-graph transfers performed.
@@ -139,36 +137,15 @@ pub(crate) fn out_of_core_run(
     );
     gpu.set_charge_transfers(false);
     let out = loop_res?;
-    let counters = gpu.counters().diff(&counters0);
-    let profile = crate::engine::profile::RunProfile::from_device(gpu, launch0, &out.step_marks);
-    let spec = gpu.spec();
-    let total_ms = spec.cycles_to_ms(counters.cycles);
-    let scheduling_ms = spec.cycles_to_ms(out.sched_cycles);
-    let transfer_ms = spec.cycles_to_ms(out.transfer_cycles);
-    let num_samples = out.store.num_samples();
-    let stats = EngineStats {
-        total_ms,
-        sampling_ms: total_ms - scheduling_ms - transfer_ms,
-        scheduling_ms,
-        counters,
-        steps_run: out.steps_run,
-        profile,
-    };
+    let (transfer_cycles, transfers) = (out.tally.transfer_cycles, out.tally.transfers);
+    let res = finish_run(gpu, &counters0, launch0, out);
     let ooc = OutOfCoreStats {
-        engine: stats.clone(),
-        transfer_ms,
-        transfers: out.transfers,
+        transfer_ms: gpu.spec().cycles_to_ms(transfer_cycles),
+        transfers,
         partitions: parts.len(),
-        samples_per_sec: num_samples as f64 / (total_ms / 1e3).max(1e-12),
+        samples_per_sec: res.store.num_samples() as f64 / (res.stats.total_ms / 1e3).max(1e-12),
     };
-    Ok((
-        RunResult {
-            store: out.store,
-            stats,
-            report: out.report,
-        },
-        ooc,
-    ))
+    Ok((res, ooc))
 }
 
 /// Runs `app` transit-parallel on a graph that does not fit in device

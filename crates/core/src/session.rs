@@ -56,7 +56,7 @@
 //! ```
 
 use crate::api::SamplingApp;
-use crate::engine::driver::{finish_run, run_step_loop, GpuEngineKind};
+use crate::engine::driver::{engine_stats, finish_run, run_step_loop, GpuEngineKind, StepTally};
 use crate::engine::profile::RunProfile;
 use crate::engine::{EngineStats, RunResult, SampleKeys};
 use crate::error::{validate_run, FaultReport, NextDoorError};
@@ -96,6 +96,89 @@ pub struct ClassMark {
     pub start_cycles: f64,
     /// Device-clock cycles at which the class's launch sequence ended.
     pub end_cycles: f64,
+}
+
+/// One width class of a fused batch: the concatenated seed sets of its
+/// queries and the [`SampleKeys`] mapping each fused sample back to its
+/// query's standalone `(seed, local id)`.
+pub(crate) struct WidthClass {
+    /// Initial vertices per sample shared by the class's queries.
+    pub width: usize,
+    pub init: Vec<Vec<VertexId>>,
+    pub keys: SampleKeys,
+    /// `(query index, first fused sample, samples)` of each member query.
+    members: Vec<(usize, usize, usize)>,
+}
+
+impl WidthClass {
+    /// Queries fused into this class.
+    pub(crate) fn queries(&self) -> usize {
+        self.members.len()
+    }
+}
+
+/// The width-class fuser behind every `query_fused`: rejects an empty
+/// batch, validates each query, and groups the queries by initial width in
+/// order of first appearance. Run each class as one batch, then hand the
+/// class stores to [`unfuse`].
+pub(crate) fn width_classes(
+    graph: &Csr,
+    app: &dyn SamplingApp,
+    queries: &[SessionQuery],
+) -> Result<Vec<WidthClass>, NextDoorError> {
+    if queries.is_empty() {
+        return Err(NextDoorError::EmptyInit);
+    }
+    for q in queries {
+        validate_run(graph, app, &q.init)?;
+    }
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (qi, q) in queries.iter().enumerate() {
+        let w = q.init[0].len();
+        match groups.iter_mut().find(|(gw, _)| *gw == w) {
+            Some((_, members)) => members.push(qi),
+            None => groups.push((w, vec![qi])),
+        }
+    }
+    Ok(groups
+        .into_iter()
+        .map(|(width, qis)| {
+            let mut init = Vec::new();
+            let mut map = Vec::new();
+            let mut members = Vec::with_capacity(qis.len());
+            for qi in qis {
+                let q = &queries[qi];
+                members.push((qi, init.len(), q.init.len()));
+                for (local, s) in q.init.iter().enumerate() {
+                    init.push(s.clone());
+                    map.push((q.seed, local as u64));
+                }
+            }
+            WidthClass {
+                width,
+                init,
+                keys: SampleKeys::fused(map),
+                members,
+            }
+        })
+        .collect())
+}
+
+/// Slices each class's store (one per class, in class order) back into one
+/// store per query, in submission order.
+pub(crate) fn unfuse(classes: &[WidthClass], stores: &[SampleStore]) -> Vec<SampleStore> {
+    let mut tagged: Vec<(usize, SampleStore)> = classes
+        .iter()
+        .zip(stores)
+        .flat_map(|(class, store)| {
+            class
+                .members
+                .iter()
+                .map(move |&(qi, start, len)| (qi, store.slice(start, len)))
+        })
+        .collect();
+    tagged.sort_by_key(|(qi, _)| *qi);
+    tagged.into_iter().map(|(_, s)| s).collect()
 }
 
 /// Result of a fused batch: one sliced store per query, in submission
@@ -311,47 +394,16 @@ impl SamplerSession {
     /// as for [`SamplerSession::query`]; a runtime error in any width
     /// class fails the whole batch.
     pub fn query_fused(&mut self, queries: &[SessionQuery]) -> Result<FusedResult, NextDoorError> {
-        if queries.is_empty() {
-            return Err(NextDoorError::EmptyInit);
-        }
-        for q in queries {
-            validate_run(&self.graph, self.app.as_ref(), &q.init)?;
-        }
-        // Width classes in order of first appearance, each holding the
-        // submission-order indices of its queries.
-        let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            let w = q.init[0].len();
-            match classes.iter_mut().find(|(cw, _)| *cw == w) {
-                Some((_, members)) => members.push(qi),
-                None => classes.push((w, vec![qi])),
-            }
-        }
+        let classes = width_classes(&self.graph, self.app.as_ref(), queries)?;
         // One counter/launch snapshot brackets *all* classes, so the
-        // aggregate stats and profile account for the whole batch exactly
-        // (the same arithmetic as `finish_run`, over the combined span).
+        // aggregate stats and profile account for the whole batch exactly.
         let counters0 = *self.gpu.counters();
         let launch0 = self.gpu.launches_issued();
-        let launches = classes.len();
         let mut report = FaultReport::default();
-        let mut sched_cycles = 0.0f64;
-        let mut steps_run = 0usize;
-        let mut step_marks: Vec<(usize, u64, u64)> = Vec::new();
-        let mut tagged: Vec<(usize, SampleStore)> = Vec::with_capacity(queries.len());
+        let mut tally = StepTally::default();
+        let mut stores = Vec::with_capacity(classes.len());
         let mut class_marks = Vec::with_capacity(classes.len());
-        for (width, members) in &classes {
-            let mut init = Vec::new();
-            let mut map = Vec::new();
-            let mut ranges = Vec::with_capacity(members.len());
-            for &qi in members {
-                let q = &queries[qi];
-                ranges.push((qi, init.len(), q.init.len()));
-                for (local, s) in q.init.iter().enumerate() {
-                    init.push(s.clone());
-                    map.push((q.seed, local as u64));
-                }
-            }
-            let keys = SampleKeys::fused(map);
+        for class in &classes {
             // Bracket the class's launch sequence so the serving tracer can
             // address its kernel records by launch index.
             let class_launch0 = self.gpu.launches_issued();
@@ -361,48 +413,33 @@ impl SamplerSession {
                 &self.graph,
                 &self.gg,
                 self.app.as_ref(),
-                &init,
-                &keys,
+                &class.init,
+                &class.keys,
                 GpuEngineKind::NextDoor,
                 None,
                 &self.plan,
                 self.cache.as_mut(),
             )?;
             class_marks.push(ClassMark {
-                width: *width,
-                queries: members.len(),
+                width: class.width,
+                queries: class.queries(),
                 launch_start: class_launch0,
                 launch_end: self.gpu.launches_issued(),
                 start_cycles: class_cycles0,
                 end_cycles: self.gpu.counters().cycles,
             });
-            sched_cycles += out.sched_cycles;
-            steps_run += out.steps_run;
             report.merge(&out.report);
-            step_marks.extend(out.step_marks);
-            for (qi, start, len) in ranges {
-                tagged.push((qi, out.store.slice(start, len)));
-            }
+            tally.merge(out.tally);
+            stores.push(out.store);
         }
         self.queries_served += queries.len() as u64;
-        let counters = self.gpu.counters().diff(&counters0);
-        let profile = RunProfile::from_device(&self.gpu, launch0, &step_marks);
-        let total_ms = self.gpu.spec().cycles_to_ms(counters.cycles);
-        let scheduling_ms = self.gpu.spec().cycles_to_ms(sched_cycles);
-        self.after_query(&profile);
-        tagged.sort_by_key(|(qi, _)| *qi);
+        let stats = engine_stats(&self.gpu, &counters0, launch0, &tally);
+        self.after_query(&stats.profile);
         Ok(FusedResult {
-            per_query: tagged.into_iter().map(|(_, s)| s).collect(),
-            launches,
+            per_query: unfuse(&classes, &stores),
+            launches: classes.len(),
             class_marks,
-            stats: EngineStats {
-                total_ms,
-                sampling_ms: total_ms - scheduling_ms,
-                scheduling_ms,
-                counters,
-                steps_run,
-                profile,
-            },
+            stats,
             report,
         })
     }

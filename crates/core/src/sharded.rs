@@ -12,13 +12,14 @@
 //!
 //! Execution proceeds in **super-steps** on a shared fleet clock: at each
 //! step the engine plans the global transit array, routes every live
-//! `(transit, pair)` onto the transit's owner shard, runs the NextDoor
-//! transit-parallel kernels per shard against that shard's row-masked
-//! sub-graph, and merges the outputs back into one global store before the
-//! next step is planned. Walkers whose next transit lives on another shard
-//! are *handed off* during the exchange phase between super-steps, in
-//! canonical shard order; the simulated clock advances by the slowest
-//! shard's step time plus the exchange cost.
+//! `(transit, pair)` onto the transit's owner shard, runs the driver's
+//! device step — the same fault-tolerant step a single device runs, under
+//! the default tuning plan — over each shard's owned pairs against its
+//! row-masked sub-graph, and merges the outputs back into one global store
+//! before the next step is planned. Walkers whose next transit lives on
+//! another shard are *handed off* during the exchange phase between
+//! super-steps, in canonical shard order; the simulated clock advances by
+//! the slowest shard's step time plus the exchange cost.
 //!
 //! **Determinism.** Every RNG draw is keyed by the walker's global
 //! `(seed, sample, step, slot)` identity via [`SampleKeys`] — never by the
@@ -26,8 +27,8 @@
 //! global step plan restricted to the pairs it owns. A sharded run is
 //! therefore bit-identical to the single-device run of the same query, for
 //! any shard count, placement seed or host thread count. Shard faults are
-//! retried bit-identically like single-device step faults; a *lost* shard
-//! is not an error: its walkers' slots stay `NULL_VERTEX`, which
+//! retried bit-identically by that same device step; a *lost* shard is not
+//! an error: its walkers' slots stay `NULL_VERTEX`, which
 //! deterministically terminates them at the next plan, and the run reports
 //! them as [`ShardedRunOut::walkers_lost`].
 //!
@@ -74,16 +75,14 @@
 //! ```
 
 use crate::api::{SamplingApp, SamplingType, NULL_VERTEX};
-use crate::engine::driver::{absorb_alloc_fault, live_pairs, MAX_STEP_RETRIES};
-use crate::engine::kernels::{
-    block_class_work, charge_step_transits, grid_class_work, run_subwarp_kernel,
-    run_transit_block_kernel, StepExec, StepOut,
-};
-use crate::engine::scheduling::{build_scheduling_index, partition_kernel_classes};
+use crate::engine::driver::{live_pairs, run_device_step, upload_frontier, GpuEngineKind};
+use crate::engine::kernels::StepExec;
 use crate::engine::{finish_step, plan_step, step_budget, SampleKeys};
 use crate::error::{validate_run, FaultReport, NextDoorError};
 use crate::gpu_graph::GpuGraph;
+use crate::session::{unfuse, width_classes, SessionQuery};
 use crate::store::SampleStore;
+use crate::tuning::TuningPlan;
 use nextdoor_gpu::{DeviceBuffer, Gpu, GpuSpec};
 use nextdoor_graph::{cluster_vertices, Clustering, Csr, PartitionStats, VertexId};
 
@@ -154,9 +153,6 @@ pub struct ShardedRunOut {
     pub walkers_lost: u64,
     /// Per-super-step breakdown in execution order.
     pub super_steps: Vec<SuperStepMark>,
-    /// Per-shard `(first, one-past-last)` device launch indices of the
-    /// query, for linking trace spans to kernel records.
-    pub shard_launches: Vec<(u64, u64)>,
 }
 
 /// Result of a fused sharded batch: per-query stores (bit-identical to
@@ -182,8 +178,6 @@ pub struct ShardedFusedResult {
     pub walkers_lost: u64,
     /// Super-step breakdowns of every class, concatenated in class order.
     pub super_steps: Vec<SuperStepMark>,
-    /// Per-shard launch bracket covering the whole batch.
-    pub shard_launches: Vec<(u64, u64)>,
 }
 
 /// One simulated device holding one graph partition.
@@ -192,16 +186,6 @@ struct Shard {
     csr: Csr,
     gg: GpuGraph,
     dead: bool,
-}
-
-/// How a shard-local fallible operation resolved.
-enum ShardOp<T> {
-    /// The operation succeeded.
-    Got(T),
-    /// An injected fault was absorbed; retry the operation.
-    Retry,
-    /// The shard's device was lost; the shard is out of the fleet.
-    Died,
 }
 
 /// A graph-sharded sampler: the graph partitioned over `num_shards`
@@ -422,28 +406,9 @@ impl ShardedSampler {
     /// errors of [`ShardedSampler::query`].
     pub fn query_fused(
         &mut self,
-        queries: &[crate::session::SessionQuery],
+        queries: &[SessionQuery],
     ) -> Result<ShardedFusedResult, NextDoorError> {
-        if queries.is_empty() {
-            return Err(NextDoorError::EmptyInit);
-        }
-        for q in queries {
-            validate_run(&self.graph, self.app.as_ref(), &q.init)?;
-        }
-        let mut classes: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (qi, q) in queries.iter().enumerate() {
-            let w = q.init[0].len();
-            match classes.iter_mut().find(|(cw, _)| *cw == w) {
-                Some((_, members)) => members.push(qi),
-                None => classes.push((w, vec![qi])),
-            }
-        }
-        let launch0: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.gpu.launches_issued())
-            .collect();
-        let launches = classes.len();
+        let classes = width_classes(&self.graph, self.app.as_ref(), queries)?;
         let mut report = FaultReport::default();
         let mut shard_reports = vec![FaultReport::default(); self.shards.len()];
         let mut elapsed_ms = 0.0;
@@ -451,21 +416,9 @@ impl ShardedSampler {
         let mut handoff_bytes = 0u64;
         let mut walkers_lost = 0u64;
         let mut super_steps = Vec::new();
-        let mut tagged: Vec<(usize, SampleStore)> = Vec::with_capacity(queries.len());
-        for (_width, members) in &classes {
-            let mut init = Vec::new();
-            let mut map = Vec::new();
-            let mut ranges = Vec::with_capacity(members.len());
-            for &qi in members {
-                let q = &queries[qi];
-                ranges.push((qi, init.len(), q.init.len()));
-                for (local, s) in q.init.iter().enumerate() {
-                    init.push(s.clone());
-                    map.push((q.seed, local as u64));
-                }
-            }
-            let keys = SampleKeys::fused(map);
-            let out = self.run_batch(&init, &keys)?;
+        let mut stores = Vec::with_capacity(classes.len());
+        for class in &classes {
+            let out = self.run_batch(&class.init, &class.keys)?;
             report.merge(&out.report);
             for (sr, r) in shard_reports.iter_mut().zip(&out.shard_reports) {
                 sr.merge(r);
@@ -475,21 +428,12 @@ impl ShardedSampler {
             handoff_bytes += out.handoff_bytes;
             walkers_lost += out.walkers_lost;
             super_steps.extend(out.super_steps);
-            for (qi, start, len) in ranges {
-                tagged.push((qi, out.store.slice(start, len)));
-            }
+            stores.push(out.store);
         }
         self.queries_served += queries.len() as u64;
-        tagged.sort_by_key(|(qi, _)| *qi);
-        let shard_launches: Vec<(u64, u64)> = self
-            .shards
-            .iter()
-            .zip(&launch0)
-            .map(|(s, &l0)| (l0, s.gpu.launches_issued()))
-            .collect();
         Ok(ShardedFusedResult {
-            per_query: tagged.into_iter().map(|(_, s)| s).collect(),
-            launches,
+            per_query: unfuse(&classes, &stores),
+            launches: classes.len(),
             elapsed_ms,
             report,
             shard_reports,
@@ -497,7 +441,6 @@ impl ShardedSampler {
             handoff_bytes,
             walkers_lost,
             super_steps,
-            shard_launches,
         })
     }
 
@@ -512,44 +455,23 @@ impl ShardedSampler {
         let mut shard_reports = vec![FaultReport::default(); num_shards];
         let mut store = SampleStore::new(init.to_vec());
         let ns = store.num_samples();
-        let launch0: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.gpu.launches_issued())
-            .collect();
-        let init_flat: Vec<u32> = init.iter().flatten().copied().collect();
+        let baseline = TuningPlan::default();
 
         // Seed broadcast: every shard stages the initial frontier (walkers
         // start on their seed's owner, but the charge model uploads the
         // frontier once per device, like the single-device engine does).
+        // A shard's frontier is `None` exactly while the shard is dead.
         let mut prev_bufs: Vec<Option<DeviceBuffer<u32>>> = Vec::with_capacity(num_shards);
         let mut elapsed_ms = 0.0f64;
         let mut init_ms = 0.0f64;
-        for (s, shard) in self.shards.iter_mut().enumerate() {
-            if shard.dead || shard.gpu.device_lost() {
-                shard.dead = true;
-                prev_bufs.push(None);
-                continue;
-            }
+        for (shard, report) in self.shards.iter_mut().zip(&mut shard_reports) {
             let c0 = shard.gpu.counters().cycles;
-            let mut retries = 0usize;
-            let buf = loop {
-                let res = shard.gpu.try_to_device(&init_flat);
-                match classify(&mut shard.gpu, &mut shard_reports[s], res)? {
-                    ShardOp::Got(b) => break Some(b),
-                    ShardOp::Died => {
-                        shard.dead = true;
-                        break None;
-                    }
-                    ShardOp::Retry => {
-                        if retries >= MAX_STEP_RETRIES {
-                            return Err(NextDoorError::KernelFault { step: 0, retries });
-                        }
-                        retries += 1;
-                        shard_reports[s].step_retries += 1;
-                    }
-                }
+            let buf = if shard.dead {
+                None
+            } else {
+                upload_frontier(&mut shard.gpu, report, init)?
             };
+            shard.dead = buf.is_none();
             init_ms = init_ms.max(self.spec.cycles_to_ms(shard.gpu.counters().cycles - c0));
             prev_bufs.push(buf);
         }
@@ -617,35 +539,46 @@ impl ShardedSampler {
             }
 
             // Per-shard execution in canonical shard order: each live shard
-            // runs the NextDoor kernels over its owned pairs against its
-            // row-masked sub-graph, then its outputs merge back into the
-            // global step arrays at their global sample-slot indices.
+            // runs the driver's device step over its owned pairs against
+            // its row-masked sub-graph, staging one transit slot per owned
+            // pair, then its outputs merge back into the global step arrays
+            // at their global sample-slot indices. A shard that owns no
+            // pairs still allocates its frontier, so the next step's charge
+            // has a correctly-sized previous frontier.
             let mut merged_values = vec![NULL_VERTEX; ns * plan.slots];
             let mut merged_edges: Vec<Vec<(VertexId, VertexId)>> = vec![Vec::new(); ns];
             let mut shard_ms = vec![0.0f64; num_shards];
             for s in 0..num_shards {
                 let owned = &shard_pairs[s];
-                if self.shards[s].dead {
+                let Some(prev_buf) = prev_bufs[s].as_ref() else {
                     walkers_lost += owned.len() as u64;
                     continue;
-                }
-                let c0 = self.shards[s].gpu.counters().cycles;
-                let outcome = run_shard_step(
-                    &mut self.shards[s],
-                    &mut shard_reports[s],
+                };
+                let shard = &mut self.shards[s];
+                let c0 = shard.gpu.counters().cycles;
+                let transits: Vec<VertexId> = owned.iter().map(|&(t, _)| t).collect();
+                let ex = StepExec {
+                    graph: &shard.csr,
+                    gg: &shard.gg,
                     app,
-                    &store,
-                    &plan,
+                    store: &store,
+                    plan: &plan,
                     keys,
+                };
+                let outcome = run_device_step(
+                    &mut shard.gpu,
+                    &ex,
+                    GpuEngineKind::NextDoor,
+                    (&transits, 1),
                     owned,
-                    prev_bufs[s].as_ref(),
-                    ns,
+                    prev_buf,
+                    &baseline,
+                    None,
+                    &mut shard_reports[s],
                 )?;
-                shard_ms[s] = self
-                    .spec
-                    .cycles_to_ms(self.shards[s].gpu.counters().cycles - c0);
+                shard_ms[s] = self.spec.cycles_to_ms(shard.gpu.counters().cycles - c0);
                 match outcome {
-                    Some(out) => {
+                    Some((out, _)) => {
                         for &(_, pair_id) in owned {
                             let (sample, tidx) =
                                 (pair_id as usize / plan.tps, pair_id as usize % plan.tps);
@@ -666,7 +599,7 @@ impl ShardedSampler {
                     None => {
                         // The shard died mid-step: its attempt's outputs
                         // are discarded, its walkers end at the boundary.
-                        self.shards[s].dead = true;
+                        shard.dead = true;
                         prev_bufs[s] = None;
                         walkers_lost += owned.len() as u64;
                     }
@@ -707,12 +640,6 @@ impl ShardedSampler {
         for r in &shard_reports {
             report.merge(r);
         }
-        let shard_launches: Vec<(u64, u64)> = self
-            .shards
-            .iter()
-            .zip(&launch0)
-            .map(|(s, &l0)| (l0, s.gpu.launches_issued()))
-            .collect();
         Ok(ShardedRunOut {
             store,
             steps_run,
@@ -723,149 +650,7 @@ impl ShardedSampler {
             handoff_bytes: total_handoff_bytes,
             walkers_lost,
             super_steps,
-            shard_launches,
         })
-    }
-}
-
-/// Classifies a shard-local fallible device operation. Unlike the
-/// single-device loop, device loss is not an error here: the shard leaves
-/// the fleet and the run continues degraded.
-fn classify<T>(
-    gpu: &mut Gpu,
-    report: &mut FaultReport,
-    res: Result<T, nextdoor_gpu::OutOfMemory>,
-) -> Result<ShardOp<T>, NextDoorError> {
-    match absorb_alloc_fault(gpu, report, res) {
-        Ok(Some(v)) => Ok(ShardOp::Got(v)),
-        Ok(None) => Ok(ShardOp::Retry),
-        Err(NextDoorError::DeviceLost { .. }) => Ok(ShardOp::Died),
-        Err(e) => Err(e),
-    }
-}
-
-/// Runs one shard's slice of a super-step with the driver's retry
-/// discipline. Returns `Ok(None)` when the shard's device was lost (the
-/// caller marks it dead); transient faults re-execute the slice
-/// bit-identically, and exhausting the retry budget fails the run.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_step(
-    shard: &mut Shard,
-    report: &mut FaultReport,
-    app: &dyn SamplingApp,
-    store: &SampleStore,
-    plan: &crate::engine::StepPlan,
-    keys: &SampleKeys,
-    owned: &[(VertexId, u32)],
-    prev_buf: Option<&DeviceBuffer<u32>>,
-    ns: usize,
-) -> Result<Option<StepOut>, NextDoorError> {
-    if shard.gpu.device_lost() {
-        return Ok(None);
-    }
-    let gpu = &mut shard.gpu;
-    let transits: Vec<VertexId> = owned.iter().map(|&(t, _)| t).collect();
-    let mut retries = 0usize;
-    loop {
-        // Transit staging: one slot per owned pair. The transit values are
-        // authoritative from the global plan; the kernel charge reads the
-        // shard's previous frontier buffer (per-pair granularity, tps = 1).
-        let res = gpu.try_alloc::<u32>(transits.len());
-        let transit_buf = match classify(gpu, report, res)? {
-            ShardOp::Got(b) => b,
-            ShardOp::Died => return Ok(None),
-            ShardOp::Retry => {
-                if retries >= MAX_STEP_RETRIES {
-                    return Err(NextDoorError::KernelFault {
-                        step: plan.step,
-                        retries,
-                    });
-                }
-                retries += 1;
-                report.step_retries += 1;
-                continue;
-            }
-        };
-        if let Some(prev) = prev_buf {
-            charge_step_transits(gpu, prev, &transit_buf, &transits, 1);
-        }
-        // Every live shard allocates its frontier buffer each super-step
-        // (even with no owned pairs) so the next step's charge has a
-        // correctly-sized previous frontier.
-        let res = StepOut::try_new(gpu, ns, plan.slots);
-        let mut out = match classify(gpu, report, res)? {
-            ShardOp::Got(o) => o,
-            ShardOp::Died => return Ok(None),
-            ShardOp::Retry => {
-                if retries >= MAX_STEP_RETRIES {
-                    return Err(NextDoorError::KernelFault {
-                        step: plan.step,
-                        retries,
-                    });
-                }
-                retries += 1;
-                report.step_retries += 1;
-                continue;
-            }
-        };
-        if !owned.is_empty() {
-            let ex = StepExec {
-                graph: &shard.csr,
-                gg: &shard.gg,
-                app,
-                store,
-                plan,
-                keys,
-            };
-            // The shard's scheduling index is the global one restricted to
-            // the transits it owns: routing is by transit, so a transit's
-            // whole segment lands on one shard and the kernel-class split
-            // is preserved.
-            let res =
-                build_scheduling_index(gpu, owned, ex.graph.num_vertices()).and_then(|index| {
-                    partition_kernel_classes(gpu, &index, plan.m, 1024)
-                        .map(|classes| (index, classes))
-                });
-            let (index, classes) = match classify(gpu, report, res)? {
-                ShardOp::Got(ic) => ic,
-                ShardOp::Died => return Ok(None),
-                ShardOp::Retry => {
-                    if retries >= MAX_STEP_RETRIES {
-                        return Err(NextDoorError::KernelFault {
-                            step: plan.step,
-                            retries,
-                        });
-                    }
-                    retries += 1;
-                    report.step_retries += 1;
-                    continue;
-                }
-            };
-            let tune = crate::tuning::KernelTuning::baseline();
-            run_subwarp_kernel(gpu, &ex, &index, &classes.sub_warp, &tune, &mut out);
-            let bw = block_class_work(&index, &classes.block);
-            run_transit_block_kernel(gpu, "nextdoor_block", &ex, &index, &bw, &tune, &mut out);
-            let gw = grid_class_work(&index, &classes.grid, plan.m, 1024);
-            run_transit_block_kernel(gpu, "nextdoor_grid", &ex, &index, &gw, &tune, &mut out);
-        }
-        let events = gpu.take_faults();
-        if events.is_empty() {
-            return Ok(Some(out));
-        }
-        // A faulted attempt's outputs cannot be trusted; discard and
-        // re-execute. Counter-keyed RNG makes the re-run bit-identical.
-        report.absorb(&events);
-        if gpu.device_lost() {
-            return Ok(None);
-        }
-        if retries >= MAX_STEP_RETRIES {
-            return Err(NextDoorError::KernelFault {
-                step: plan.step,
-                retries,
-            });
-        }
-        retries += 1;
-        report.step_retries += 1;
     }
 }
 

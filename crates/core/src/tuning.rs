@@ -229,7 +229,8 @@ impl ProfileSummary {
     /// # Errors
     ///
     /// Returns a description of the first structural problem found — no
-    /// `"kernels"` array, or a kernel entry without `name`/`ms`.
+    /// `"kernels"` array, a kernel entry without `name`/`ms`, or an `ms`
+    /// that is negative or not finite.
     pub fn from_kernel_report_json(json: &str) -> Result<ProfileSummary, String> {
         let kernels_at = json
             .find("\"kernels\"")
@@ -238,10 +239,11 @@ impl ProfileSummary {
         let open = rest
             .find('[')
             .ok_or_else(|| "\"kernels\" is not an array".to_string())?;
-        let close = rest
+        let body = &rest[open + 1..];
+        let close = body
             .find(']')
             .ok_or_else(|| "unterminated \"kernels\" array".to_string())?;
-        let body = &rest[open + 1..close];
+        let body = &body[..close];
         let mut s = ProfileSummary::default();
         let mut bg_ms = 0.0f64;
         let mut bg_util = 0.0f64;
@@ -251,6 +253,9 @@ impl ProfileSummary {
                 .ok_or_else(|| "kernel entry without a name".to_string())?;
             let ms = json_num_field(entry, "ms")
                 .ok_or_else(|| format!("kernel {name:?} has no \"ms\" field"))?;
+            if !(ms.is_finite() && ms >= 0.0) {
+                return Err(format!("kernel {name:?} has an invalid \"ms\" of {ms}"));
+            }
             s.total_ms += ms;
             let phase = crate::engine::profile::classify_kernel(&name);
             match phase {
@@ -887,6 +892,18 @@ mod tests {
         assert!((s.bg_sm_utilization - 0.25).abs() < 1e-9);
         assert!((s.bg_occupancy - 0.5).abs() < 1e-9);
         assert!(ProfileSummary::from_kernel_report_json("{}").is_err());
+        // Malformed or hostile reports are errors, never panics.
+        for bad in [
+            r#"{"kernels"]["#,
+            r#"{"kernels": ] , "x": ["#,
+            r#"{"kernels":[{"name":"nextdoor_grid","ms":1e400}]}"#,
+            r#"{"kernels":[{"name":"nextdoor_grid","ms":-5}]}"#,
+        ] {
+            assert!(
+                ProfileSummary::from_kernel_report_json(bad).is_err(),
+                "{bad} must be rejected"
+            );
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! The contract under test, end to end:
 //!
-//! * **bit-identity**: for any graph, shard count and individual-transit
-//!   app, `ShardedSampler::query` produces a store bit-identical to
-//!   `run_nextdoor` of the same `(graph, app, init, seed)` — partitioning
-//!   and cross-shard hand-off may change *where* a draw executes, never
-//!   its value (property-based, below);
+//! * **bit-identity**: for any graph, shard count, individual-transit app
+//!   and non-loss fault script on any shard, `ShardedSampler::query`
+//!   produces a store bit-identical to `run_nextdoor` of the same
+//!   `(graph, app, init, seed)` — partitioning, cross-shard hand-off and
+//!   fault retries may change *where* and *how often* a draw executes,
+//!   never its value (property-based, below);
 //! * **conservation**: every walker hand-off is visible exactly once in
 //!   the super-step marks, the serving-tier `Handoff` spans, the metrics
 //!   registry and the `FleetReport` — the four views agree to the walker;
@@ -43,6 +44,25 @@ fn arb_graph() -> impl Strategy<Value = Csr> {
     })
 }
 
+/// An arbitrary non-loss fault script, as in `tests/tuning.rs`: an
+/// optional failed allocation and an optional transient kernel fault.
+fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
+    (
+        proptest::option::weighted(0.5, 0u64..5),
+        proptest::option::weighted(0.5, 0u64..12),
+    )
+        .prop_map(|(alloc, transient)| {
+            let mut plan = FaultPlan::new();
+            if let Some(i) = alloc {
+                plan = plan.fail_alloc(i);
+            }
+            if let Some(i) = transient {
+                plan = plan.transient_at_launch(i);
+            }
+            plan
+        })
+}
+
 /// The individual-transit apps the sharded engine supports.
 fn arb_app() -> impl Strategy<Value = usize> {
     0usize..3
@@ -62,11 +82,11 @@ proptest! {
     #[test]
     fn sharded_runs_are_bit_identical_to_single_device(
         g in arb_graph(),
-        shards in 1usize..=4,
+        (shards, placement_seed) in (1usize..=4, 0u64..100),
         app_idx in arb_app(),
         seed in 0u64..1000,
         nroots in 1usize..12,
-        placement_seed in 0u64..100,
+        (faults, fault_shard) in (arb_fault_plan(), 0usize..4),
     ) {
         let init: Vec<Vec<VertexId>> =
             (0..nroots).map(|i| vec![(i as u32 * 7 + seed as u32) % 64]).collect();
@@ -78,11 +98,17 @@ proptest! {
             placement_seed,
         )
         .unwrap();
+        // Allocation faults (staging, output buffers, scheduling index) and
+        // transient launch faults are retried on the shard, bit-identically.
+        let clean = faults == FaultPlan::new();
+        sharded.schedule_faults(fault_shard % shards, faults);
         let out = sharded.query(&init, seed).unwrap();
         let mut gpu = Gpu::new(GpuSpec::small());
         let solo = run_nextdoor(&mut gpu, &g, make_app(app_idx).as_ref(), &init, seed).unwrap();
         prop_assert_eq!(digest(&out.store), digest(&solo.store));
-        prop_assert!(out.report.is_clean());
+        if clean {
+            prop_assert!(out.report.is_clean());
+        }
         prop_assert_eq!(out.walkers_lost, 0);
     }
 
