@@ -43,7 +43,7 @@ use crate::engine::kernels::{
     run_subwarp_kernel, run_transit_block_kernel, BlockWork, StepExec, StepOut,
 };
 use crate::engine::profile::RunProfile;
-use crate::engine::scheduling::{build_scheduling_index, partition_kernel_classes_tuned};
+use crate::engine::scheduling::{build_scheduling_index, partition_kernel_classes};
 use crate::engine::{
     finish_step, plan_step, step_budget, unique, EngineStats, RunResult, SampleKeys, StepPlan,
 };
@@ -51,7 +51,7 @@ use crate::error::{FaultReport, NextDoorError};
 use crate::gpu_graph::GpuGraph;
 use crate::large_graph::GraphPartitions;
 use crate::store::SampleStore;
-use crate::tuning::{HotTransitCache, KernelTuning, TuningPlan};
+use crate::tuning::{HotTransitCache, TuningPlan};
 use nextdoor_gpu::{Counters, DeviceBuffer, FaultEvent, Gpu, OutOfMemory};
 use nextdoor_graph::{Csr, VertexId};
 
@@ -130,11 +130,11 @@ fn exec_step(
     match ex.app.sampling_type() {
         SamplingType::Individual => match kind {
             GpuEngineKind::NextDoor => {
-                let (sub_warp, max_block) = (tuning.sub_warp_threshold, tuning.max_block_threads);
+                let block_dim = tuning.block_dim;
                 let c0 = gpu.counters().cycles;
                 let memo = cache
                     .as_deref_mut()
-                    .and_then(|c| c.lookup_sched(pairs, plan.m, sub_warp, max_block));
+                    .and_then(|c| c.lookup_sched(pairs, plan.m, block_dim));
                 let (index, classes) = match memo {
                     Some(hit) => hit,
                     None => {
@@ -143,11 +143,9 @@ fn exec_step(
                             pairs,
                             key_bound(pairs, tuning, ex.graph.num_vertices()),
                         )?;
-                        let classes = partition_kernel_classes_tuned(
-                            gpu, &index, plan.m, sub_warp, max_block,
-                        )?;
+                        let classes = partition_kernel_classes(gpu, &index, plan.m, block_dim)?;
                         if let Some(c) = cache.as_deref_mut() {
-                            c.store_sched(pairs, plan.m, sub_warp, max_block, &index, &classes);
+                            c.store_sched(pairs, plan.m, block_dim, &index, &classes);
                         }
                         (index, classes)
                     }
@@ -157,12 +155,18 @@ fn exec_step(
                 }
                 sched_cycles += gpu.counters().cycles - c0;
                 let resident = cache.as_deref().map_or(&[][..], |c| c.resident());
-                let tune = KernelTuning::from_plan(tuning, resident);
-                run_subwarp_kernel(gpu, ex, &index, &classes.sub_warp, &tune, out);
-                let bw = block_class_work(&index, &classes.block);
-                run_transit_block_kernel(gpu, "nextdoor_block", ex, &index, &bw, &tune, out);
-                let gw = grid_class_work(&index, &classes.grid, plan.m, tuning.block_dim);
-                run_transit_block_kernel(gpu, "nextdoor_grid", ex, &index, &gw, &tune, out);
+                run_subwarp_kernel(gpu, ex, &index, &classes.sub_warp, resident, out);
+                for (name, work) in [
+                    ("nextdoor_block", block_class_work(&index, &classes.block)),
+                    (
+                        "nextdoor_grid",
+                        grid_class_work(&index, &classes.grid, plan.m, block_dim),
+                    ),
+                ] {
+                    run_transit_block_kernel(
+                        gpu, name, ex, &index, &work, block_dim, resident, out,
+                    );
+                }
             }
             GpuEngineKind::SampleParallel => {
                 run_sample_parallel_kernel(gpu, ex, transit_buf, out);
@@ -182,8 +186,7 @@ fn exec_step(
                         pair_count: index.segments[si].count,
                     })
                     .collect();
-                let tune = KernelTuning::baseline();
-                run_transit_block_kernel(gpu, "tp_block", ex, &index, &bw, &tune, out);
+                run_transit_block_kernel(gpu, "tp_block", ex, &index, &bw, 1024, &[], out);
             }
         },
         SamplingType::Collective => {

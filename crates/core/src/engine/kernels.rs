@@ -11,7 +11,6 @@ use crate::engine::scheduling::SchedulingIndex;
 use crate::engine::{run_next_individual, SampleKeys, StepPlan};
 use crate::gpu_graph::GpuGraph;
 use crate::store::SampleStore;
-use crate::tuning::KernelTuning;
 use nextdoor_gpu::lane::LaneTrace;
 use nextdoor_gpu::warp::mask_first_n;
 use nextdoor_gpu::{
@@ -125,6 +124,11 @@ pub(crate) fn charge_step_transits(
 /// evaluation graphs average 4-39 neighbours).
 const REG_CACHE_PER_THREAD: usize = 32;
 
+/// Expected neighbour accesses per sub-warp thread: the sub-warp kernel
+/// preloads `PRELOAD_FACTOR × threads` neighbours (rounded up to a sector,
+/// bounded by the register budget) — a few probes per slot.
+const PRELOAD_FACTOR: usize = 4;
+
 /// One unit of work for a lane of a transit-parallel kernel.
 #[derive(Debug, Clone, Copy)]
 struct LaneWork {
@@ -222,16 +226,16 @@ fn execute_lanes(
 /// `(transit, sample)` pair on `m` consecutive lanes; adjacency held in
 /// registers and read via warp shuffles.
 ///
-/// `tune` supplies the preload factor and the session's resident-transit
-/// set; a resident transit's preload loads are skipped (its slice already
-/// sits in the session arena) while `cached_len` — and therefore every
-/// sampled value — is unchanged.
+/// `resident` is the session's arena-resident transit set, ascending; a
+/// resident transit's preload loads are skipped (its slice already sits in
+/// the session arena) while `cached_len` — and therefore every sampled
+/// value — is unchanged.
 pub(crate) fn run_subwarp_kernel(
     gpu: &mut Gpu,
     ex: &StepExec<'_>,
     index: &SchedulingIndex,
     class: &[usize],
-    tune: &KernelTuning<'_>,
+    resident: &[VertexId],
     out: &mut StepOut,
 ) {
     if class.is_empty() {
@@ -279,9 +283,9 @@ pub(crate) fn run_subwarp_kernel(
                 // Adaptive cache sizing: preload no more sectors than
                 // the expected number of accesses can pay back (a few
                 // probes per slot), bounded by the register budget.
-                let expected = (tune.preload_factor * threads).next_multiple_of(8).max(8);
+                let expected = (PRELOAD_FACTOR * threads).next_multiple_of(8).max(8);
                 let reg_n = deg.min(expected).min(REG_CACHE_PER_THREAD * threads);
-                if reg_n > 0 && !tune.is_resident(seg.transit) {
+                if reg_n > 0 && resident.binary_search(&seg.transit).is_err() {
                     let (start, _) = ex.graph.adjacency_range(seg.transit);
                     let mut c = 0;
                     while c < reg_n {
@@ -383,6 +387,9 @@ pub(crate) fn grid_class_work(
 /// in shared memory. A block whose chunk exceeds its thread count loops
 /// grid-stride style — the vanilla-TP configuration (whole transits, no
 /// load balancing) and small tuned block sizes both rely on this.
+///
+/// Blocks launch `block_dim` threads; `resident` is the session's
+/// arena-resident transit set, as for [`run_subwarp_kernel`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_transit_block_kernel(
     gpu: &mut Gpu,
@@ -390,14 +397,14 @@ pub(crate) fn run_transit_block_kernel(
     ex: &StepExec<'_>,
     index: &SchedulingIndex,
     blocks: &[BlockWork],
-    tune: &KernelTuning<'_>,
+    block_dim: usize,
+    resident: &[VertexId],
     out: &mut StepOut,
 ) {
     if blocks.is_empty() {
         return;
     }
     let m = ex.plan.m;
-    let block_dim = tune.block_dim;
     let cfg = LaunchConfig {
         grid_dim: blocks.len(),
         block_dim,
@@ -416,7 +423,7 @@ pub(crate) fn run_transit_block_kernel(
         // served from the session arena at cache cost — while
         // `cached_len` (and with it every sampled value) is unchanged.
         let cache_n = deg.min(blk.shared_words_free());
-        let resident = tune.is_resident(seg.transit);
+        let resident = resident.binary_search(&seg.transit).is_ok();
         let cache = if cache_n > 0 && !resident {
             blk.shared_alloc(cache_n)
         } else {

@@ -12,7 +12,7 @@
 //! property for every engine.
 
 use nextdoor_gpu::profile::KernelRecord;
-use nextdoor_gpu::{Counters, Gpu};
+use nextdoor_gpu::{summarize_kernels, Counters, Gpu, GpuSpec};
 
 /// Which stage of the sampling pipeline a kernel implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -172,16 +172,16 @@ impl RunProfile {
             .kernels()
             .filter(|k| k.launch_idx >= launch0)
             .collect();
-        let kernels = aggregate(records.iter().copied(), |c| spec.cycles_to_ms(c));
+        let kernels = breakdown(records.iter().copied(), spec);
         let steps = step_marks
             .iter()
             .map(|&(step, start, end)| {
-                let ks = aggregate(
+                let ks = breakdown(
                     records
                         .iter()
                         .copied()
                         .filter(|k| k.launch_idx >= start && k.launch_idx < end),
-                    |c| spec.cycles_to_ms(c),
+                    spec,
                 );
                 let cycles = ks.iter().map(|k| k.cycles).sum();
                 StepProfile {
@@ -203,39 +203,25 @@ impl RunProfile {
     }
 }
 
-/// Groups kernel records by name; deterministic (first-launch order for
-/// ties), sorted by total cycles descending.
-fn aggregate<'a>(
+/// The per-kernel aggregates of [`summarize_kernels`] (by name, first-launch
+/// order for ties, total cycles descending), labelled with their phase and
+/// simulated milliseconds.
+fn breakdown<'a>(
     records: impl Iterator<Item = &'a KernelRecord>,
-    cycles_to_ms: impl Fn(f64) -> f64,
+    spec: &GpuSpec,
 ) -> Vec<KernelBreakdown> {
-    let mut order: Vec<KernelBreakdown> = Vec::new();
-    for k in records {
-        let idx = match order.iter().position(|b| b.name == k.name) {
-            Some(i) => i,
-            None => {
-                order.push(KernelBreakdown {
-                    name: k.name.clone(),
-                    phase: classify_kernel(&k.name),
-                    ..KernelBreakdown::default()
-                });
-                order.len() - 1
-            }
-        };
-        let b = &mut order[idx];
-        b.launches += 1;
-        b.cycles += k.cycles;
-        b.counters.merge(&k.counters);
-        b.avg_occupancy += k.occupancy;
-    }
-    for b in &mut order {
-        if b.launches > 0 {
-            b.avg_occupancy /= b.launches as f64;
-        }
-        b.ms = cycles_to_ms(b.cycles);
-    }
-    order.sort_by(|a, b| b.cycles.total_cmp(&a.cycles));
-    order
+    summarize_kernels(records)
+        .into_iter()
+        .map(|s| KernelBreakdown {
+            phase: classify_kernel(&s.name),
+            ms: spec.cycles_to_ms(s.cycles),
+            name: s.name,
+            launches: s.launches,
+            cycles: s.cycles,
+            counters: s.counters,
+            avg_occupancy: s.avg_occupancy,
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -116,6 +116,15 @@ pub fn build_scheduling_index(
 /// number of threads each needs (`count × m`), charging the scan-based
 /// partition pass the paper describes.
 ///
+/// A transit needing at most [`WARP_SIZE`] threads is sub-warp work, at
+/// most `max_block_threads` thread-block work, and grid work above. The
+/// engine passes its plan's block size
+/// ([`TuningPlan::block_dim`](crate::tuning::TuningPlan::block_dim)), so a
+/// block-class transit always fits one launch block. Moving the cutoff
+/// re-assigns transits between classes; the classes execute the same
+/// `(sample, slot)` lanes with the same RNG keying, so samples are
+/// unchanged.
+///
 /// # Errors
 ///
 /// Returns [`OutOfMemory`] when a device allocation fails — genuinely or
@@ -126,30 +135,7 @@ pub fn partition_kernel_classes(
     m: usize,
     max_block_threads: usize,
 ) -> Result<KernelClasses, OutOfMemory> {
-    partition_kernel_classes_tuned(gpu, index, m, WARP_SIZE, max_block_threads)
-}
-
-/// [`partition_kernel_classes`] with the tuner's sub-warp threshold.
-///
-/// A transit is sub-warp work when it needs at most `sub_warp_threshold`
-/// threads (at most [`WARP_SIZE`] — the sub-warp kernel packs a transit's
-/// lanes into one warp). Moving the threshold re-assigns transits between
-/// kernel classes; the classes execute the same `(sample, slot)` lanes
-/// with the same RNG keying, so samples are unchanged.
-///
-/// # Errors
-///
-/// Returns [`OutOfMemory`] when a device allocation fails — genuinely or
-/// through a scripted fault.
-pub fn partition_kernel_classes_tuned(
-    gpu: &mut Gpu,
-    index: &SchedulingIndex,
-    m: usize,
-    sub_warp_threshold: usize,
-    max_block_threads: usize,
-) -> Result<KernelClasses, OutOfMemory> {
-    debug_assert!(sub_warp_threshold <= WARP_SIZE);
-    debug_assert!(sub_warp_threshold <= max_block_threads);
+    debug_assert!(WARP_SIZE <= max_block_threads);
     let mut classes = KernelClasses::default();
     let n = index.segments.len();
     if n == 0 {
@@ -172,7 +158,7 @@ pub fn partition_kernel_classes_tuned(
             let c = w.ld_global(&counts_dev, &safe, msk);
             let cls = w.map(c, msk, |c| {
                 let threads = c as usize * m;
-                if threads <= sub_warp_threshold {
+                if threads <= WARP_SIZE {
                     0
                 } else if threads <= max_block_threads {
                     1
@@ -187,7 +173,7 @@ pub fn partition_kernel_classes_tuned(
     let _ = positions; // Scan pass charged; host materialises the lists.
     for (i, seg) in index.segments.iter().enumerate() {
         let threads = seg.count * m;
-        if threads <= sub_warp_threshold {
+        if threads <= WARP_SIZE {
             classes.sub_warp.push(i);
         } else if threads <= max_block_threads {
             classes.block.push(i);
@@ -270,6 +256,12 @@ mod tests {
         let classes = partition_kernel_classes(&mut g, &idx, 8, 1024).unwrap();
         assert!(classes.sub_warp.is_empty());
         assert_eq!(classes.block.len(), 2);
+        // The tuner's 512-thread cutoff moves the 800-thread transit from
+        // block to grid work.
+        let classes = partition_kernel_classes(&mut g, &idx, 8, 512).unwrap();
+        assert!(classes.sub_warp.is_empty());
+        assert_eq!(classes.block.len(), 1);
+        assert_eq!(classes.grid.len(), 2);
     }
 
     #[test]

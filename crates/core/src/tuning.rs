@@ -1,12 +1,11 @@
 //! Profile-guided autotuning and cross-query hot-transit caching.
 //!
 //! The paper fixes its load-balancing parameters once for all workloads:
-//! transits become sub-warp work below 32 threads, thread-block work below
+//! transits become sub-warp work up to 32 threads, thread-block work up to
 //! 1024, grid work above (Table 2); the block kernels always launch 1024
-//! threads; the sub-warp kernel preloads a fixed multiple of the expected
-//! accesses into registers; and the scheduling index always radix-sorts
-//! with a key range of `num_vertices`. Those guesses are exactly what the
-//! per-kernel profiler measures, so a session that answers repeated queries
+//! threads; and the scheduling index always radix-sorts with a key range of
+//! `num_vertices`. The block size and the key range are cost levers the
+//! per-kernel profiler can judge, so a session that answers repeated queries
 //! over one graph can do better: an [`AutoTuner`] consumes the
 //! [`RunProfile`]s of a session's first queries and derives a per-workload
 //! [`TuningPlan`], which the engine's planner and launch path honor on
@@ -20,7 +19,7 @@
 //! Tuning never changes samples. Every sampled value is produced by
 //! [`run_next_individual`](crate::engine)'s counter-keyed RNG, addressed by
 //! `(seed, sample, step, slot)` — launch geometry, kernel-class assignment,
-//! preload depth and cache hits only change *where* and *at what cost* a
+//! radix passes and cache hits only change *where* and *at what cost* a
 //! lane runs, never which draws it makes. The plan itself is derived only
 //! at query boundaries from completed profiles, so no mid-query state ever
 //! feeds back into the run that produced it. `tests/tuning.rs` proptests
@@ -46,37 +45,30 @@ use nextdoor_gpu::{DeviceBuffer, Gpu, GpuSpec, LaunchConfig, WARP_SIZE};
 use nextdoor_graph::{Csr, VertexId};
 use std::collections::BTreeMap;
 
-/// Every knob the transit-parallel engine exposes, with the paper's fixed
-/// choices as defaults. A default plan reproduces the untuned engine
+/// The two knobs the [`AutoTuner`] moves, with the paper's fixed choices
+/// as defaults. A default plan reproduces the untuned engine
 /// *byte-identically* — same launches, same counters, same samples — so
-/// enabling tuning with a baseline plan is a no-op.
+/// enabling tuning with a baseline plan is a no-op. The engine's other
+/// load-balancing parameters stay at the paper's values: a transit needing
+/// at most [`WARP_SIZE`] threads is sub-warp work (Table 2), and the
+/// sub-warp kernel's register preload expects four accesses per thread.
 ///
-/// All knobs are **cost levers**: they move work between kernel classes,
-/// resize launches or change preload depth, but the sampled values are a
+/// Both knobs are **cost levers**: they move work between kernel classes,
+/// resize launches or shed radix passes, but the sampled values are a
 /// function of the RNG keying alone (see the [module docs](self)). A plan
 /// from an untrusted source should be passed through
 /// [`TuningPlan::normalized`], which clamps every field into its valid
 /// range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuningPlan {
-    /// A transit needing at most this many threads (`count × m`) is
-    /// sub-warp work served by register caching and shuffles. At most
-    /// [`WARP_SIZE`]; the paper fixes it at 32 (Table 2).
-    pub sub_warp_threshold: usize,
-    /// A transit needing at most this many threads is thread-block work;
-    /// above it the transit is split across the grid. Must not exceed
-    /// [`TuningPlan::block_dim`] — the block kernel covers exactly one
-    /// block of lanes per transit. The paper fixes it at 1024.
-    pub max_block_threads: usize,
-    /// Threads per block of the thread-block and grid kernels. The paper
-    /// fixes it at 1024; smaller blocks spread a few huge transits over
-    /// more SMs at the price of refilling the shared-memory cache per
-    /// block.
+    /// Threads per block of the thread-block and grid kernels, and the
+    /// block-class cutoff: a transit needing at most this many threads
+    /// (`count × m`) is thread-block work, above it the transit is split
+    /// across the grid — the block kernel covers exactly one block of lanes
+    /// per transit. The paper fixes it at 1024 (Table 2); smaller blocks
+    /// spread a few huge transits over more SMs at the price of refilling
+    /// the shared-memory cache per block.
     pub block_dim: usize,
-    /// The sub-warp kernel preloads `preload_factor × threads` neighbours
-    /// (rounded up to a sector, bounded by the register budget) into
-    /// registers. The paper's heuristic is 4 — a few probes per slot.
-    pub preload_factor: usize,
     /// Bound the scheduling index's radix-sort key range by the **maximum
     /// live transit id** of the step instead of `num_vertices - 1`. A
     /// tighter bound can only shed whole radix passes (the sort is stable
@@ -87,43 +79,29 @@ pub struct TuningPlan {
 impl Default for TuningPlan {
     fn default() -> Self {
         TuningPlan {
-            sub_warp_threshold: WARP_SIZE,
-            max_block_threads: 1024,
             block_dim: 1024,
-            preload_factor: 4,
             tight_key_range: false,
         }
     }
 }
 
 impl TuningPlan {
-    /// Clamps every knob into its valid range and restores the structural
-    /// invariant `sub_warp_threshold ≤ WARP_SIZE` and
-    /// `max_block_threads ≤ block_dim` (a block-class transit must fit in
-    /// one launch block, or lanes would silently go unserved).
+    /// Clamps `block_dim` to a warp multiple in `WARP_SIZE..=1024`, so the
+    /// block cutoff never falls below the sub-warp one.
     ///
     /// ```
     /// use nextdoor_core::tuning::TuningPlan;
     /// let wild = TuningPlan {
-    ///     sub_warp_threshold: 1000,
-    ///     max_block_threads: 4096,
     ///     block_dim: 100,
-    ///     preload_factor: 1 << 20,
     ///     tight_key_range: true,
     /// };
     /// let p = wild.normalized();
-    /// assert!(p.sub_warp_threshold <= 32);
-    /// assert!(p.max_block_threads <= p.block_dim);
+    /// assert_eq!(p.block_dim, 96);
     /// assert_eq!(p.block_dim % 32, 0);
     /// ```
     #[must_use]
     pub fn normalized(mut self) -> Self {
-        self.sub_warp_threshold = self.sub_warp_threshold.clamp(1, WARP_SIZE);
         self.block_dim = (self.block_dim.clamp(WARP_SIZE, 1024) / WARP_SIZE) * WARP_SIZE;
-        self.max_block_threads = self
-            .max_block_threads
-            .clamp(self.sub_warp_threshold, self.block_dim);
-        self.preload_factor = self.preload_factor.min(64);
         self
     }
 
@@ -303,34 +281,32 @@ fn json_num_field(fragment: &str, field: &str) -> Option<f64> {
     tail[..end].parse().ok()
 }
 
-/// When and how aggressively the [`AutoTuner`] acts on its observations.
+/// When the [`AutoTuner`] starts acting on its observations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunerConfig {
     /// Queries to observe before the derived plan leaves the baseline
     /// ([`AutoTuner::ready`]).
     pub warmup_queries: u64,
-    /// Minimum scheduling share of total time before the tight key-range
-    /// knob engages (it is never worse, but below this share it cannot
-    /// matter either).
-    pub min_scheduling_share: f64,
-    /// SM busy fraction of the block/grid kernels below which the tuner
-    /// considers them imbalanced (a few huge transits hogging few SMs).
-    pub low_sm_utilization: f64,
-    /// Block/grid share of total time below which the tuner leaves the
-    /// block geometry alone regardless of utilisation.
-    pub min_block_grid_share: f64,
 }
 
 impl Default for TunerConfig {
     fn default() -> Self {
-        TunerConfig {
-            warmup_queries: 2,
-            min_scheduling_share: 0.02,
-            low_sm_utilization: 0.5,
-            min_block_grid_share: 0.25,
-        }
+        TunerConfig { warmup_queries: 2 }
     }
 }
+
+/// Minimum scheduling share of total time before the tight key-range knob
+/// engages (it is never worse, but below this share it cannot matter
+/// either).
+const MIN_SCHEDULING_SHARE: f64 = 0.02;
+
+/// SM busy fraction of the block/grid kernels below which the tuner
+/// considers them imbalanced (a few huge transits hogging few SMs).
+const LOW_SM_UTILIZATION: f64 = 0.5;
+
+/// Block/grid share of total time below which the tuner leaves the block
+/// geometry alone regardless of utilisation.
+const MIN_BLOCK_GRID_SHARE: f64 = 0.25;
 
 /// Derives a [`TuningPlan`] from observed [`RunProfile`]s.
 ///
@@ -347,7 +323,7 @@ pub struct AutoTuner {
 }
 
 impl AutoTuner {
-    /// A tuner with the given thresholds and nothing observed yet.
+    /// A tuner with the given warm-up and nothing observed yet.
     pub fn new(cfg: TunerConfig) -> Self {
         AutoTuner {
             cfg,
@@ -416,7 +392,7 @@ impl AutoTuner {
         let s = &self.summary;
         // Tight key range: sheds whole radix passes with identical output,
         // so engage whenever scheduling time is visible at all.
-        if s.scheduling_share() >= self.cfg.min_scheduling_share {
+        if s.scheduling_share() >= MIN_SCHEDULING_SHARE {
             plan.tight_key_range = true;
         }
         // Block geometry: when the block/grid kernels are a material share
@@ -424,14 +400,13 @@ impl AutoTuner {
         // pinned to one block — halving the block splits them across twice
         // as many SMs. Only do it when the spec says the smaller block
         // does not lose occupancy.
-        if s.block_grid_share() >= self.cfg.min_block_grid_share
-            && s.bg_sm_utilization < self.cfg.low_sm_utilization
+        if s.block_grid_share() >= MIN_BLOCK_GRID_SHARE
+            && s.bg_sm_utilization < LOW_SM_UTILIZATION
             && spec.occupancy(512, 0) >= spec.occupancy(1024, 0)
         {
             plan.block_dim = 512;
-            plan.max_block_threads = 512;
         }
-        plan.normalized()
+        plan
     }
 }
 
@@ -499,7 +474,7 @@ impl CacheStats {
 }
 
 /// One memoised scheduling index: valid only for an identical live-pair
-/// set under identical class thresholds. Keyed by content hash, so a
+/// set under an identical block size. Keyed by content hash, so a
 /// request stream that replays earlier queries (every epoch of a training
 /// loop resubmits the same mini-batches) reuses its indices no matter how
 /// the repeats interleave.
@@ -507,23 +482,17 @@ impl CacheStats {
 struct SchedMemo {
     pairs: Vec<(VertexId, u32)>,
     m: usize,
-    sub_warp: usize,
-    max_block: usize,
+    block_dim: usize,
     index: SchedulingIndex,
     classes: KernelClasses,
 }
 
 /// FNV-1a over the memo identity; collisions are disambiguated by the
 /// exact-match check in [`HotTransitCache::lookup_sched`].
-fn memo_key(pairs: &[(VertexId, u32)], m: usize, sub_warp: usize, max_block: usize) -> u64 {
+fn memo_key(pairs: &[(VertexId, u32)], m: usize, block_dim: usize) -> u64 {
     const PRIME: u64 = 0x100000001b3;
     let mut h: u64 = 0xcbf29ce484222325;
-    for v in [
-        m as u64,
-        sub_warp as u64,
-        max_block as u64,
-        pairs.len() as u64,
-    ] {
+    for v in [m as u64, block_dim as u64, pairs.len() as u64] {
         h = (h ^ v).wrapping_mul(PRIME);
     }
     for &(t, s) in pairs {
@@ -605,16 +574,15 @@ impl HotTransitCache {
     }
 
     /// Returns the memoised scheduling index for this live-pair set and
-    /// these class thresholds, if one is retained.
+    /// this block size, if one is retained.
     pub(crate) fn lookup_sched(
         &mut self,
         pairs: &[(VertexId, u32)],
         m: usize,
-        sub_warp: usize,
-        max_block: usize,
+        block_dim: usize,
     ) -> Option<(SchedulingIndex, KernelClasses)> {
-        let e = self.memo.get(&memo_key(pairs, m, sub_warp, max_block))?;
-        if e.m == m && e.sub_warp == sub_warp && e.max_block == max_block && e.pairs == pairs {
+        let e = self.memo.get(&memo_key(pairs, m, block_dim))?;
+        if e.m == m && e.block_dim == block_dim && e.pairs == pairs {
             self.stats.sched_reuses += 1;
             Some((e.index.clone(), e.classes.clone()))
         } else {
@@ -628,13 +596,12 @@ impl HotTransitCache {
         &mut self,
         pairs: &[(VertexId, u32)],
         m: usize,
-        sub_warp: usize,
-        max_block: usize,
+        block_dim: usize,
         index: &SchedulingIndex,
         classes: &KernelClasses,
     ) {
         self.stats.sched_builds += 1;
-        let key = memo_key(pairs, m, sub_warp, max_block);
+        let key = memo_key(pairs, m, block_dim);
         let replaced = self.memo.get(&key).map_or(0, |e| e.pairs.len());
         if self.memo_pairs - replaced + pairs.len() > self.cfg.memo_max_pairs {
             return;
@@ -645,8 +612,7 @@ impl HotTransitCache {
             SchedMemo {
                 pairs: pairs.to_vec(),
                 m,
-                sub_warp,
-                max_block,
+                block_dim,
                 index: index.clone(),
                 classes: classes.clone(),
             },
@@ -766,46 +732,6 @@ impl HotTransitCache {
     }
 }
 
-/// The slice of tuning state a kernel launch needs: the geometry knobs and
-/// the resident-transit set. A borrow into the session's plan and cache,
-/// rebuilt per step.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct KernelTuning<'a> {
-    pub preload_factor: usize,
-    pub block_dim: usize,
-    pub resident: &'a [VertexId],
-}
-
-impl KernelTuning<'static> {
-    /// The untuned engine's geometry: what every non-session entry point
-    /// uses.
-    pub(crate) fn baseline() -> Self {
-        KernelTuning {
-            preload_factor: 4,
-            block_dim: 1024,
-            resident: &[],
-        }
-    }
-}
-
-impl<'a> KernelTuning<'a> {
-    /// Builds the per-launch view of a plan and optional cache.
-    pub(crate) fn from_plan(plan: &TuningPlan, resident: &'a [VertexId]) -> Self {
-        KernelTuning {
-            preload_factor: plan.preload_factor,
-            block_dim: plan.block_dim,
-            resident,
-        }
-    }
-
-    /// Whether `transit`'s adjacency is arena-resident (preloads can be
-    /// skipped).
-    #[inline]
-    pub(crate) fn is_resident(&self, transit: VertexId) -> bool {
-        self.resident.binary_search(&transit).is_ok()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,17 +746,17 @@ mod tests {
     #[test]
     fn normalized_restores_invariants() {
         let p = TuningPlan {
-            sub_warp_threshold: 0,
-            max_block_threads: 9999,
             block_dim: 33,
-            preload_factor: usize::MAX,
             tight_key_range: false,
         }
         .normalized();
-        assert_eq!(p.sub_warp_threshold, 1);
         assert_eq!(p.block_dim, 32);
-        assert_eq!(p.max_block_threads, 32);
-        assert_eq!(p.preload_factor, 64);
+        let p = TuningPlan {
+            block_dim: 9999,
+            tight_key_range: true,
+        }
+        .normalized();
+        assert_eq!(p.block_dim, 1024);
     }
 
     #[test]
@@ -857,10 +783,7 @@ mod tests {
     #[test]
     fn tuner_halves_blocks_on_low_sm_utilization() {
         let spec = GpuSpec::small();
-        let mut t = AutoTuner::new(TunerConfig {
-            warmup_queries: 1,
-            ..TunerConfig::default()
-        });
+        let mut t = AutoTuner::new(TunerConfig { warmup_queries: 1 });
         let s = ProfileSummary {
             total_ms: 10.0,
             grid_ms: 8.0,
@@ -872,7 +795,6 @@ mod tests {
         t.observe_summary(&s);
         let p = t.plan(&spec);
         assert_eq!(p.block_dim, 512);
-        assert_eq!(p.max_block_threads, 512);
     }
 
     #[test]
@@ -991,18 +913,18 @@ mod tests {
         let classes = KernelClasses::default();
         let a = vec![(1u32, 0u32), (2, 1)];
         let b = vec![(3u32, 0u32), (4, 1)];
-        cache.store_sched(&a, 2, 32, 1024, &index, &classes);
-        cache.store_sched(&b, 2, 32, 1024, &index, &classes);
-        assert!(cache.lookup_sched(&a, 2, 32, 1024).is_some());
-        assert!(cache.lookup_sched(&b, 2, 32, 1024).is_some());
+        cache.store_sched(&a, 2, 1024, &index, &classes);
+        cache.store_sched(&b, 2, 1024, &index, &classes);
+        assert!(cache.lookup_sched(&a, 2, 1024).is_some());
+        assert!(cache.lookup_sched(&b, 2, 1024).is_some());
         assert!(
-            cache.lookup_sched(&a, 2, 16, 1024).is_none(),
-            "thresholds are part of the identity"
+            cache.lookup_sched(&a, 2, 512).is_none(),
+            "the block size is part of the identity"
         );
         // Budget spent: a third distinct entry is not retained.
         let c = vec![(5u32, 0u32)];
-        cache.store_sched(&c, 1, 32, 1024, &index, &classes);
-        assert!(cache.lookup_sched(&c, 1, 32, 1024).is_none());
+        cache.store_sched(&c, 1, 1024, &index, &classes);
+        assert!(cache.lookup_sched(&c, 1, 1024).is_none());
         assert_eq!(cache.stats().sched_builds, 3);
         assert_eq!(cache.stats().sched_reuses, 2);
     }

@@ -90,7 +90,6 @@ pub struct Gpu {
     tracker: Arc<MemTracker>,
     host_threads: usize,
     counters: Counters,
-    kernel_log: Vec<KernelStats>,
     profile: Profile,
     charge_transfers: bool,
     fault_plan: Option<FaultPlan>,
@@ -114,7 +113,6 @@ impl Gpu {
             tracker,
             host_threads,
             counters: Counters::default(),
-            kernel_log: Vec::new(),
             profile: Profile::default(),
             charge_transfers: false,
             fault_plan: None,
@@ -427,15 +425,13 @@ impl Gpu {
             per_sm_busy: sch.per_sm,
             shared_mem_bytes: max_shared_words * 4,
         }));
-        let stats = KernelStats {
+        KernelStats {
             name: name.to_string(),
             blocks: cfg.grid_dim,
             threads_per_block: cfg.block_dim,
             cycles,
             counters: launch_counters,
-        };
-        self.kernel_log.push(stats.clone());
-        stats
+        }
     }
 
     /// Number of blocks of `block_dim` threads and `shared_bytes` of shared
@@ -449,11 +445,6 @@ impl Gpu {
     /// Accumulated counters over all launches and transfers.
     pub fn counters(&self) -> &Counters {
         &self.counters
-    }
-
-    /// Per-launch log, in launch order.
-    pub fn kernel_log(&self) -> &[KernelStats] {
-        &self.kernel_log
     }
 
     /// The bounded per-kernel/per-transfer profile buffer (see
@@ -491,11 +482,9 @@ impl Gpu {
         self.spec.cycles_to_ms(self.counters.cycles)
     }
 
-    /// Resets counters, the kernel log and the profile buffer (memory stays
-    /// allocated).
+    /// Resets counters and the profile buffer (memory stays allocated).
     pub fn reset_counters(&mut self) {
         self.counters = Counters::default();
-        self.kernel_log.clear();
         self.profile.clear();
     }
 }
@@ -750,14 +739,14 @@ mod tests {
         );
         gpu.reset_counters();
         assert_eq!(gpu.counters().cycles, 0.0);
-        assert_eq!(gpu.kernel_log().len(), 0);
+        assert!(gpu.profile().is_empty());
         assert_eq!(buf.as_slice(), &[1, 2, 3]);
     }
 
     /// Runs the same skewed workload at a given thread count and returns
     /// everything observable: output data, counters, and block-time-derived
     /// cycle totals.
-    fn run_at_threads(threads: usize) -> (Vec<u32>, Counters, Vec<KernelStats>) {
+    fn run_at_threads(threads: usize) -> (Vec<u32>, Counters, Vec<KernelRecord>) {
         let mut spec = GpuSpec::small();
         spec.host_threads = threads;
         let mut gpu = Gpu::new(spec);
@@ -781,7 +770,7 @@ mod tests {
         (
             dst.as_slice().to_vec(),
             *gpu.counters(),
-            gpu.kernel_log().to_vec(),
+            gpu.profile().kernels().cloned().collect(),
         )
     }
 
@@ -792,11 +781,7 @@ mod tests {
             let (d, c, k) = run_at_threads(threads);
             assert_eq!(d, d1, "output data differs at {threads} threads");
             assert_eq!(c, c1, "counters differ at {threads} threads");
-            assert_eq!(k.len(), k1.len());
-            for (a, b) in k.iter().zip(&k1) {
-                assert_eq!(a.counters, b.counters);
-                assert_eq!(a.cycles, b.cycles, "kernel cycles differ");
-            }
+            assert_eq!(k, k1, "kernel records differ at {threads} threads");
         }
     }
 

@@ -260,11 +260,14 @@ pub struct KernelSummary {
     pub max_shared_mem_bytes: usize,
 }
 
-/// Aggregates a profile's kernel records by name, ordered by total cycles
-/// (descending). Deterministic: ties keep first-launch order.
-pub fn summarize_kernels(profile: &Profile) -> Vec<KernelSummary> {
+/// Aggregates kernel records (e.g. [`Profile::kernels`]) by name, ordered
+/// by total cycles (descending). Deterministic: ties keep first-launch
+/// order.
+pub fn summarize_kernels<'a>(
+    kernels: impl IntoIterator<Item = &'a KernelRecord>,
+) -> Vec<KernelSummary> {
     let mut order: Vec<KernelSummary> = Vec::new();
-    for k in profile.kernels() {
+    for k in kernels {
         let idx = match order.iter().position(|s| s.name == k.name) {
             Some(i) => i,
             None => {
@@ -350,7 +353,7 @@ pub fn write_kernel_report(path: &Path, spec: &GpuSpec, profile: &Profile) -> io
         spec.num_sms, spec.clock_ghz
     )?;
     writeln!(f, "  \"kernels\": [")?;
-    let summaries = summarize_kernels(profile);
+    let summaries = summarize_kernels(profile.kernels());
     for (i, s) in summaries.iter().enumerate() {
         let comma = if i + 1 < summaries.len() { "," } else { "" };
         writeln!(
@@ -670,7 +673,7 @@ mod tests {
         p.push(ProfileEvent::Kernel(kernel("small", 0, 5.0, 1)));
         p.push(ProfileEvent::Kernel(kernel("big", 1, 100.0, 7)));
         p.push(ProfileEvent::Kernel(kernel("small", 2, 5.0, 1)));
-        let s = summarize_kernels(&p);
+        let s = summarize_kernels(p.kernels());
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].name, "big");
         assert_eq!(s[1].launches, 2);

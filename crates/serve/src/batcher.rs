@@ -1152,10 +1152,7 @@ mod tests {
     fn tuned_batcher_matches_untuned_and_reports_counters() {
         let mut tuned = batcher(ServeConfig::default());
         tuned.enable_tuning(
-            TunerConfig {
-                warmup_queries: 1,
-                ..TunerConfig::default()
-            },
+            TunerConfig { warmup_queries: 1 },
             CacheConfig {
                 min_hits: 1,
                 ..CacheConfig::default()

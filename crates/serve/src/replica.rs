@@ -564,8 +564,9 @@ impl Backend for ReplicaPool {
                 Err(_) => {
                     // Exponential backoff on the fleet clock before the
                     // next attempt (which the router may send elsewhere).
+                    // The exponent saturates at 63: `1u64 << 64` overflows.
                     let backoff_from = self.fleet_ms;
-                    self.fleet_ms += self.cfg.backoff_base_ms * (1u64 << retries) as f64;
+                    self.fleet_ms += self.cfg.backoff_base_ms * (1u64 << retries.min(63)) as f64;
                     retries += 1;
                     self.retries += 1;
                     obs.metrics.sim.retries += 1;
@@ -760,6 +761,34 @@ mod tests {
             res.per_query[0].final_samples(),
             want.per_query[0].final_samples()
         );
+    }
+
+    /// Regression test: the 65th backoff shifted `1u64` by 64, which
+    /// panics in a debug build and wraps to the base backoff in a release
+    /// build. The exponent now saturates, so a dispatch that fails through
+    /// 100 retries comes back as a typed error on a finite fleet clock.
+    #[test]
+    fn backoff_saturates_past_64_retries() {
+        let storm = FaultPlan {
+            transient_launches: (0..20_000).collect(),
+            ..FaultPlan::new()
+        };
+        let cfg = PoolConfig {
+            max_retries: 100,
+            breaker: BreakerConfig {
+                trip_after: 1_000_000,
+                ..BreakerConfig::default()
+            },
+            ..PoolConfig::default()
+        };
+        let mut pool = pool_with_plans(vec![storm], cfg);
+        assert!(matches!(
+            dispatch(&mut pool, 3),
+            Err(ServeError::Sampling(NextDoorError::KernelFault { .. }))
+        ));
+        let rep = pool.report_core();
+        assert_eq!(rep.retries, 100);
+        assert!(rep.fleet_ms.is_finite());
     }
 
     #[test]

@@ -267,10 +267,7 @@ fn tuned_session_is_thread_count_invariant() {
             .unwrap()
         };
         let mut tuned = mk();
-        tuned.enable_autotune(nextdoor::core::tuning::TunerConfig {
-            warmup_queries: 1,
-            ..Default::default()
-        });
+        tuned.enable_autotune(nextdoor::core::tuning::TunerConfig { warmup_queries: 1 });
         tuned.enable_hot_cache(nextdoor::core::tuning::CacheConfig {
             min_hits: 1,
             ..Default::default()

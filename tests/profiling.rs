@@ -138,8 +138,8 @@ fn profiles_are_bit_identical_across_runs() {
     assert_eq!(g1.profile(), g2.profile());
     assert_eq!(a.stats.profile, b.stats.profile);
     assert_eq!(
-        nextdoor::gpu::summarize_kernels(g1.profile()),
-        nextdoor::gpu::summarize_kernels(g2.profile())
+        nextdoor::gpu::summarize_kernels(g1.profile().kernels()),
+        nextdoor::gpu::summarize_kernels(g2.profile().kernels())
     );
 }
 

@@ -2,8 +2,8 @@
 //! cost-side optimisation. Whatever plan is pinned — sensible or
 //! adversarial — and whatever faults the device throws, the samples must
 //! stay bit-identical to an untuned session's, because every knob moves
-//! only launch geometry, kernel-class thresholds and cache residency,
-//! never the counter-keyed RNG draws.
+//! only launch geometry, the block-class cutoff, radix passes and cache
+//! residency, never the counter-keyed RNG draws.
 
 use proptest::prelude::*;
 
@@ -26,26 +26,17 @@ fn arb_graph() -> impl Strategy<Value = Csr> {
     })
 }
 
-/// An arbitrary *valid* tuning plan: every combination `normalized()` can
-/// produce, including degenerate 1-thread sub-warps and zero preload.
+/// An arbitrary *valid* tuning plan: every block size `normalized()` can
+/// produce, down to a single warp (no block class at all), with or without
+/// the tight key range.
 fn arb_plan() -> impl Strategy<Value = TuningPlan> {
-    (
-        1usize..=32,
-        (0usize..5).prop_map(|i| [32usize, 128, 256, 512, 1024][i]),
-        0usize..=1024,
-        0usize..=16,
-        proptest::bool::ANY,
-    )
-        .prop_map(|(sub_warp, block_dim, max_block, preload, tight)| {
-            TuningPlan {
-                sub_warp_threshold: sub_warp,
-                max_block_threads: max_block,
-                block_dim,
-                preload_factor: preload,
-                tight_key_range: tight,
-            }
-            .normalized()
-        })
+    (0usize..=2048, proptest::bool::ANY).prop_map(|(block_dim, tight)| {
+        TuningPlan {
+            block_dim,
+            tight_key_range: tight,
+        }
+        .normalized()
+    })
 }
 
 /// An arbitrary fault script, as in `tests/properties.rs`.
@@ -110,10 +101,7 @@ proptest! {
         let init = initial_samples_random(&g, 16, 1, seed ^ 1).unwrap();
         let mut plain = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
         let mut tuned = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
-        tuned.enable_autotune(TunerConfig {
-            warmup_queries: 1,
-            ..TunerConfig::default()
-        });
+        tuned.enable_autotune(TunerConfig { warmup_queries: 1 });
         tuned.enable_hot_cache(CacheConfig {
             min_hits: 1,
             ..CacheConfig::default()
@@ -144,10 +132,7 @@ fn replanning_settles_on_a_steady_workload() {
     let g = nextdoor::graph::gen::rmat(7, 1200, nextdoor::graph::gen::RmatParams::SKEWED, 9);
     let init = initial_samples_random(&g, 32, 1, 5).unwrap();
     let mut s = SamplerSession::new(GpuSpec::small(), g, app(true)).unwrap();
-    s.enable_autotune(TunerConfig {
-        warmup_queries: 2,
-        ..TunerConfig::default()
-    });
+    s.enable_autotune(TunerConfig { warmup_queries: 2 });
     for q in 0..8 {
         s.query(&init, 40 + q).unwrap();
     }
