@@ -12,7 +12,7 @@
 //! samples bit-identical to the healthy leg (asserted here), it just pays
 //! for the retries, backoffs, cool-down waits and the shrunken batch cap.
 
-use nextdoor_bench::BenchConfig;
+use nextdoor_bench::{write_section, BenchConfig};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor_graph::{Csr, Dataset, VertexId};
@@ -30,7 +30,6 @@ fn pool_config(cooldown_ms: f64) -> PoolConfig {
     PoolConfig {
         max_retries: 6,
         backoff_base_ms: cooldown_ms / 10.0,
-        hedge_after_ms: None,
         breaker: BreakerConfig {
             trip_after: 2,
             cooldown_ms,
@@ -212,22 +211,6 @@ fn leg_json(name: &str, leg: &LegResult) -> String {
     )
 }
 
-/// Splices the `"chaos"` section into an existing `BENCH_serve.json`
-/// written by `serve_bench`, or writes a standalone object.
-fn write_json(section: &str) {
-    let path = "BENCH_serve.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let head = existing.trim_end().strip_suffix('}').map(str::trim_end);
-    let merged = match head {
-        Some(h) if !h.is_empty() && !h.ends_with('{') => {
-            format!("{h},\n  \"chaos\": {section}\n}}\n")
-        }
-        _ => format!("{{\n  \"chaos\": {section}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("can write BENCH_serve.json");
-    println!("wrote chaos section into {path}");
-}
-
 fn main() {
     let cfg = BenchConfig::from_args();
     let g = cfg.graph(Dataset::Ppi);
@@ -334,5 +317,5 @@ fn main() {
         leg_json("faulted", &chaos),
         chaos_tp / healthy_tp.max(1e-12),
     );
-    write_json(&section);
+    write_section("BENCH_serve.json", "chaos", &section).expect("can write BENCH_serve.json");
 }

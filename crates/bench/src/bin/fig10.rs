@@ -33,10 +33,10 @@ fn main() {
         for dataset in Dataset::MAIN4 {
             let graph = cfg.graph(dataset);
             let init = cfg.init_for(&graph, *kind);
-            let one = run_nextdoor_multi_gpu(&cfg.gpu, 1, &graph, app.as_ref(), &init, cfg.seed)
-                .expect("bench run");
-            let four = run_nextdoor_multi_gpu(&cfg.gpu, 4, &graph, app.as_ref(), &init, cfg.seed)
-                .expect("bench run");
+            let run =
+                |n| run_nextdoor_multi_gpu(&cfg.gpu, n, &graph, app.as_ref(), &init, cfg.seed, &[]);
+            let one = run(1).expect("bench run");
+            let four = run(4).expect("bench run");
             cells.push(format!("{:.2}x", one.makespan_ms / four.makespan_ms));
         }
         row(app.name(), &cells);

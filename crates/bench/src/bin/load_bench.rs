@@ -39,7 +39,7 @@
 //! (run `serve_bench` first to get the healthy serving regimes in the same
 //! file).
 
-use nextdoor_bench::BenchConfig;
+use nextdoor_bench::{write_section, BenchConfig};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::{SamplerSession, SessionQuery};
 use nextdoor_gpu::{FaultPlan, Gpu, GpuSpec};
@@ -207,7 +207,6 @@ fn load_fleet(spec: &GpuSpec, g: &Csr, cfg: &ServeConfig, batch_ms: f64) -> Flee
         PoolConfig {
             max_retries: 24,
             backoff_base_ms: batch_ms / 16.0,
-            hedge_after_ms: None,
             breaker: BreakerConfig {
                 trip_after: 10_000,
                 cooldown_ms: batch_ms,
@@ -372,22 +371,6 @@ fn closed_fifo_prefix(spec: &GpuSpec, g: &Csr, reqs: &[(Vec<Vec<VertexId>>, u64)
     }
     assert!(b.drain().iter().all(|(_, r)| r.is_ok()));
     (b.session().sim_ms(), b.launches())
-}
-
-/// Splices the `"load"` section into an existing `BENCH_serve.json`
-/// written by `serve_bench`/`chaos_bench`, or writes a standalone object.
-fn write_json(section: &str) {
-    let path = "BENCH_serve.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let head = existing.trim_end().strip_suffix('}').map(str::trim_end);
-    let merged = match head {
-        Some(h) if !h.is_empty() && !h.ends_with('{') => {
-            format!("{h},\n  \"load\": {section}\n}}\n")
-        }
-        _ => format!("{{\n  \"load\": {section}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("can write BENCH_serve.json");
-    println!("wrote load section into {path}");
 }
 
 fn main() {
@@ -664,5 +647,5 @@ fn main() {
         mixed.len(),
         fifo_ms / interleaved_ms,
     );
-    write_json(&section);
+    write_section("BENCH_serve.json", "load", &section).expect("can write BENCH_serve.json");
 }

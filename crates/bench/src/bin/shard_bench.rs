@@ -13,7 +13,7 @@
 //! edge cut induces. Samples are asserted bit-identical across shard
 //! counts before any number is written.
 
-use nextdoor_bench::BenchConfig;
+use nextdoor_bench::{write_section, BenchConfig};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::SessionQuery;
 use nextdoor_gpu::FaultPlan;
@@ -54,7 +54,6 @@ fn serve_stream(
         ShardPoolConfig {
             num_shards: shards,
             placement_seed: cfg.seed,
-            ..ShardPoolConfig::default()
         },
     )
     .expect("bench graph shards cleanly");
@@ -113,22 +112,6 @@ fn leg_json(name: &str, leg: &LegResult, shards: usize) -> String {
         leg.walkers_lost,
         leg.edge_cut_fraction,
     )
-}
-
-/// Splices the `"shard"` section into an existing `BENCH_serve.json`
-/// written by `serve_bench`, or writes a standalone object.
-fn write_json(section: &str) {
-    let path = "BENCH_serve.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let head = existing.trim_end().strip_suffix('}').map(str::trim_end);
-    let merged = match head {
-        Some(h) if !h.is_empty() && !h.ends_with('{') => {
-            format!("{h},\n  \"shard\": {section}\n}}\n")
-        }
-        _ => format!("{{\n  \"shard\": {section}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("can write BENCH_serve.json");
-    println!("wrote shard section into {path}");
 }
 
 fn main() {
@@ -224,5 +207,5 @@ fn main() {
          {samples_per_request},\n{},\n    \"bit_identical_across_shard_counts\": true\n  }}",
         parts.join(",\n"),
     );
-    write_json(&section);
+    write_section("BENCH_serve.json", "shard", &section).expect("can write BENCH_serve.json");
 }

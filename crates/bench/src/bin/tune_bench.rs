@@ -23,7 +23,7 @@
 //! Results are spliced into the `"tune"` section of `BENCH_serve.json`
 //! (same convention as `chaos_bench` / `load_bench` / `shard_bench`).
 
-use nextdoor_bench::{benchmark_suite, header, ms, row, speedup, BenchConfig};
+use nextdoor_bench::{benchmark_suite, header, ms, row, speedup, write_section, BenchConfig};
 use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
 use nextdoor_core::session::SamplerSession;
 use nextdoor_core::tuning::{CacheConfig, TunerConfig};
@@ -54,10 +54,7 @@ impl SamplingApp for Walk {
 fn tuning_configs() -> (TunerConfig, CacheConfig) {
     (
         TunerConfig { warmup_queries: 1 },
-        CacheConfig {
-            min_hits: 2,
-            ..CacheConfig::default()
-        },
+        CacheConfig { min_hits: 2 },
     )
 }
 
@@ -112,22 +109,6 @@ fn run_app(
         cache_hit_rate: stats.hit_rate(),
         plan_updates: st.plan_updates(),
     }
-}
-
-/// Splices the `"tune"` section into an existing `BENCH_serve.json`
-/// written by `serve_bench`, or writes a standalone object.
-fn write_json(section: &str) {
-    let path = "BENCH_serve.json";
-    let existing = std::fs::read_to_string(path).unwrap_or_default();
-    let head = existing.trim_end().strip_suffix('}').map(str::trim_end);
-    let merged = match head {
-        Some(h) if !h.is_empty() && !h.ends_with('{') => {
-            format!("{h},\n  \"tune\": {section}\n}}\n")
-        }
-        _ => format!("{{\n  \"tune\": {section}\n}}\n"),
-    };
-    std::fs::write(path, merged).expect("can write BENCH_serve.json");
-    println!("wrote tune section into {path}");
 }
 
 fn main() {
@@ -292,5 +273,5 @@ fn main() {
         apps_json.join(",\n"),
         warm_stats.hit_rate(),
     );
-    write_json(&section);
+    write_section("BENCH_serve.json", "tune", &section).expect("can write BENCH_serve.json");
 }

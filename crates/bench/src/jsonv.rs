@@ -12,6 +12,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 /// A parsed JSON value. Numbers are kept as `f64` (every number the
 /// exporters emit is exactly representable or printed from an `f64` in the
@@ -285,6 +286,43 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
         return p.err("trailing garbage after document");
     }
     Ok(v)
+}
+
+/// The members of a top-level JSON object: each member's name with the
+/// byte range of its value text, in document order.
+///
+/// # Errors
+///
+/// [`ParseError`] when `text` is not one well-formed JSON object.
+pub(crate) fn object_members(text: &str) -> Result<Vec<(String, Range<usize>)>, ParseError> {
+    let mut p = Parser {
+        b: text.as_bytes(),
+        i: 0,
+    };
+    let mut members = Vec::new();
+    p.skip_ws();
+    p.expect(b'{')?;
+    p.skip_ws();
+    while p.b.get(p.i) != Some(&b'}') {
+        if !members.is_empty() {
+            p.expect(b',')?;
+            p.skip_ws();
+        }
+        let key = p.string()?;
+        p.skip_ws();
+        p.expect(b':')?;
+        p.skip_ws();
+        let start = p.i;
+        p.value()?;
+        members.push((key, start..p.i));
+        p.skip_ws();
+    }
+    p.i += 1;
+    p.skip_ws();
+    if p.i != p.b.len() {
+        return p.err("trailing garbage after document");
+    }
+    Ok(members)
 }
 
 /// Validates `value` against `schema`, appending one message per violation

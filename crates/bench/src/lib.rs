@@ -18,7 +18,7 @@
 use nextdoor_core::initial_samples_random;
 use nextdoor_gpu::{Gpu, GpuSpec};
 use nextdoor_graph::{Csr, Dataset, VertexId};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 pub mod jsonv;
 
@@ -194,6 +194,38 @@ impl BenchConfig {
     }
 }
 
+/// Writes `section` (a JSON value) as the top-level member `key` of the
+/// JSON object in the file at `path`, replacing an existing `key` in place
+/// or appending it; a missing, unreadable or empty file becomes a one-key
+/// object.
+///
+/// # Errors
+///
+/// A failed write, and [`std::io::ErrorKind::InvalidData`] when the file
+/// holds something other than one JSON object.
+pub fn write_section(path: impl AsRef<Path>, key: &str, section: &str) -> std::io::Result<()> {
+    let path = path.as_ref();
+    let doc = std::fs::read_to_string(path).unwrap_or_default();
+    let spliced = splice_section(&doc, key, section)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+    std::fs::write(path, spliced)?;
+    println!("wrote {key} section into {}", path.display());
+    Ok(())
+}
+
+fn splice_section(doc: &str, key: &str, section: &str) -> Result<String, jsonv::ParseError> {
+    let doc = if doc.trim().is_empty() { "{}" } else { doc };
+    let members = jsonv::object_members(doc)?;
+    // `jsonv::parse` keeps the last of duplicate keys, so replace that one.
+    if let Some((_, r)) = members.iter().rev().find(|(k, _)| k == key) {
+        return Ok(format!("{}{section}{}", &doc[..r.start], &doc[r.end..]));
+    }
+    // Append before the `}` that ends a well-formed object.
+    let body = doc[..doc.trim_end().len() - 1].trim_end();
+    let sep = if members.is_empty() { "" } else { "," };
+    Ok(format!("{body}{sep}\n  \"{key}\": {section}\n}}\n"))
+}
+
 /// How an application's initial samples are built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppInit {
@@ -334,6 +366,38 @@ mod tests {
         assert!(mrw.iter().all(|s| s.len() == 100));
         let b = cfg.batch_init(&g);
         assert!(b.iter().all(|s| s.len() == 64));
+    }
+
+    #[test]
+    fn splicing_a_section_twice_keeps_one_copy() {
+        let doc = "{\n  \"a\": 1\n}\n";
+        let once = splice_section(doc, "x", "{\"v\": 1}").unwrap();
+        let twice = splice_section(&once, "x", "{\"v\": 2}").unwrap();
+        assert_eq!(twice.matches("\"x\"").count(), 1);
+        let parsed = jsonv::parse(&twice).unwrap();
+        assert_eq!(parsed.get("a"), Some(&jsonv::Json::Num(1.0)));
+        assert_eq!(
+            parsed.get("x").and_then(|x| x.get("v")),
+            Some(&jsonv::Json::Num(2.0))
+        );
+        assert_eq!(twice, "{\n  \"a\": 1,\n  \"x\": {\"v\": 2}\n}\n");
+    }
+
+    #[test]
+    fn splicing_into_a_missing_or_empty_file_gives_one_key() {
+        let path = std::env::temp_dir().join(format!("splice-{}.json", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        for _ in 0..2 {
+            // First pass: no file. Second pass: an empty file.
+            write_section(&path, "x", "[1]").unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let members = jsonv::object_members(&text).unwrap();
+            assert_eq!(members.len(), 1);
+            assert_eq!(&text[members[0].1.clone()], "[1]");
+            std::fs::write(&path, "").unwrap();
+        }
+        std::fs::remove_file(&path).unwrap();
+        assert!(splice_section("{\"a\": 1", "x", "1").is_err());
     }
 
     #[test]

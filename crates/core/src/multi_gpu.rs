@@ -73,6 +73,11 @@ pub fn least_loaded_alive(alive: &[bool], load_ms: &[f64]) -> Option<usize> {
 /// run — the paper's scheme has the same property, since each GPU draws
 /// from its own generator.
 ///
+/// `fault_plans[d]` scripts device `d` (missing entries mean no faults;
+/// pass `&[]` for a fault-free run): scripted device losses exercise the
+/// failover path, and per-device allocation or launch faults flow into
+/// the aggregated [`FaultReport`].
+///
 /// # Errors
 ///
 /// Returns [`NextDoorError`] if `num_gpus` is zero or exceeds the number of
@@ -80,28 +85,6 @@ pub fn least_loaded_alive(alive: &[bool], load_ms: &[f64]) -> Option<usize> {
 /// reason failover cannot mask (including [`NextDoorError::AllDevicesLost`]
 /// once no survivor remains).
 pub fn run_nextdoor_multi_gpu(
-    spec: &GpuSpec,
-    num_gpus: usize,
-    graph: &Csr,
-    app: &dyn SamplingApp,
-    init: &[Vec<VertexId>],
-    seed: u64,
-) -> Result<MultiGpuResult, NextDoorError> {
-    run_nextdoor_multi_gpu_with_faults(spec, num_gpus, graph, app, init, seed, &[])
-}
-
-/// [`run_nextdoor_multi_gpu`] with a per-device [`FaultPlan`]
-/// (`fault_plans[d]` scripts device `d`; missing entries mean no faults).
-///
-/// This is the fault-injection entry point: scripted device losses exercise
-/// the failover path, and per-device allocation or launch faults flow into
-/// the aggregated [`FaultReport`].
-///
-/// # Errors
-///
-/// Same conditions as [`run_nextdoor_multi_gpu`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_nextdoor_multi_gpu_with_faults(
     spec: &GpuSpec,
     num_gpus: usize,
     graph: &Csr,
@@ -266,7 +249,7 @@ mod tests {
         let g = rmat(8, 2000, RmatParams::SKEWED, 1);
         let init: Vec<Vec<u32>> = (0..100).map(|i| vec![i as u32 % 256]).collect();
         let spec = GpuSpec::small();
-        let res = run_nextdoor_multi_gpu(&spec, 4, &g, &Walk(4), &init, 5).unwrap();
+        let res = run_nextdoor_multi_gpu(&spec, 4, &g, &Walk(4), &init, 5, &[]).unwrap();
         assert_eq!(res.per_gpu.len(), 4);
         assert_eq!(res.total_samples(), 100);
         assert!(res.makespan_ms > 0.0);
@@ -288,8 +271,8 @@ mod tests {
         let mut spec = GpuSpec::small();
         spec.num_sms = 4;
         spec.cost.launch_overhead = 100.0;
-        let single = run_nextdoor_multi_gpu(&spec, 1, &g, &Walk(6), &init, 3).unwrap();
-        let quad = run_nextdoor_multi_gpu(&spec, 4, &g, &Walk(6), &init, 3).unwrap();
+        let single = run_nextdoor_multi_gpu(&spec, 1, &g, &Walk(6), &init, 3, &[]).unwrap();
+        let quad = run_nextdoor_multi_gpu(&spec, 4, &g, &Walk(6), &init, 3, &[]).unwrap();
         let speedup = single.makespan_ms / quad.makespan_ms;
         assert!(
             speedup > 2.0,
@@ -300,12 +283,12 @@ mod tests {
     #[test]
     fn too_many_gpus_rejected() {
         let g = rmat(6, 100, RmatParams::SKEWED, 1);
-        let res = run_nextdoor_multi_gpu(&GpuSpec::small(), 8, &g, &Walk(1), &[vec![0]], 0);
+        let res = run_nextdoor_multi_gpu(&GpuSpec::small(), 8, &g, &Walk(1), &[vec![0]], 0, &[]);
         assert_eq!(
             res.err().map(|e| e.to_string()).unwrap_or_default(),
             "more GPUs (8) than samples (1) to distribute"
         );
-        let res = run_nextdoor_multi_gpu(&GpuSpec::small(), 0, &g, &Walk(1), &[vec![0]], 0);
+        let res = run_nextdoor_multi_gpu(&GpuSpec::small(), 0, &g, &Walk(1), &[vec![0]], 0, &[]);
         assert!(matches!(res, Err(NextDoorError::NoGpus)));
     }
 
@@ -314,15 +297,14 @@ mod tests {
         let g = rmat(8, 2000, RmatParams::SKEWED, 1);
         let init: Vec<Vec<u32>> = (0..60).map(|i| vec![i as u32 % 256]).collect();
         let spec = GpuSpec::small();
-        let clean = run_nextdoor_multi_gpu(&spec, 3, &g, &Walk(4), &init, 9).unwrap();
+        let clean = run_nextdoor_multi_gpu(&spec, 3, &g, &Walk(4), &init, 9, &[]).unwrap();
         // Device 1 dies early in its shard; the shard must re-run elsewhere.
         let plans = vec![
             FaultPlan::new(),
             FaultPlan::new().lose_device_at_launch(2),
             FaultPlan::new(),
         ];
-        let faulty =
-            run_nextdoor_multi_gpu_with_faults(&spec, 3, &g, &Walk(4), &init, 9, &plans).unwrap();
+        let faulty = run_nextdoor_multi_gpu(&spec, 3, &g, &Walk(4), &init, 9, &plans).unwrap();
         assert_eq!(faulty.report.devices_lost, 1);
         assert_eq!(faulty.report.failovers, 1);
         assert_eq!(faulty.per_gpu.len(), 3);
@@ -339,15 +321,7 @@ mod tests {
             FaultPlan::new().lose_device_at_launch(0),
             FaultPlan::new().lose_device_at_launch(0),
         ];
-        let res = run_nextdoor_multi_gpu_with_faults(
-            &GpuSpec::small(),
-            2,
-            &g,
-            &Walk(3),
-            &init,
-            1,
-            &plans,
-        );
+        let res = run_nextdoor_multi_gpu(&GpuSpec::small(), 2, &g, &Walk(3), &init, 1, &plans);
         assert!(matches!(res, Err(NextDoorError::AllDevicesLost)));
     }
 }

@@ -520,8 +520,7 @@ impl SamplerSession {
     }
 
     /// Mutable access to the session's device, e.g. to inject a
-    /// [`FaultPlan`](nextdoor_gpu::FaultPlan) or resize the profile ring
-    /// between queries.
+    /// [`FaultPlan`](nextdoor_gpu::FaultPlan) between queries.
     pub fn gpu_mut(&mut self) -> &mut Gpu {
         &mut self.gpu
     }

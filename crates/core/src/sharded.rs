@@ -185,7 +185,6 @@ struct Shard {
     gpu: Gpu,
     csr: Csr,
     gg: GpuGraph,
-    dead: bool,
 }
 
 /// A graph-sharded sampler: the graph partitioned over `num_shards`
@@ -267,12 +266,7 @@ impl ShardedSampler {
             let csr = graph.row_masked(&keep);
             let mut gpu = Gpu::new(spec.clone());
             let gg = GpuGraph::upload(&mut gpu, &csr)?;
-            shards.push(Shard {
-                gpu,
-                csr,
-                gg,
-                dead: false,
-            });
+            shards.push(Shard { gpu, csr, gg });
         }
         Ok(ShardedSampler {
             spec,
@@ -295,7 +289,7 @@ impl ShardedSampler {
     /// terminate at the boundary; queries whose seeds it owns should be
     /// shed by the serving layer.
     pub fn shard_lost(&self, s: usize) -> bool {
-        self.shards[s].dead || self.shards[s].gpu.device_lost()
+        self.shards[s].gpu.device_lost()
     }
 
     /// Shards still alive.
@@ -460,18 +454,14 @@ impl ShardedSampler {
         // Seed broadcast: every shard stages the initial frontier (walkers
         // start on their seed's owner, but the charge model uploads the
         // frontier once per device, like the single-device engine does).
-        // A shard's frontier is `None` exactly while the shard is dead.
+        // A shard's frontier is `None` exactly while the shard is dead:
+        // device loss is sticky, and a lost device uploads nothing.
         let mut prev_bufs: Vec<Option<DeviceBuffer<u32>>> = Vec::with_capacity(num_shards);
         let mut elapsed_ms = 0.0f64;
         let mut init_ms = 0.0f64;
         for (shard, report) in self.shards.iter_mut().zip(&mut shard_reports) {
             let c0 = shard.gpu.counters().cycles;
-            let buf = if shard.dead {
-                None
-            } else {
-                upload_frontier(&mut shard.gpu, report, init)?
-            };
-            shard.dead = buf.is_none();
+            let buf = upload_frontier(&mut shard.gpu, report, init)?;
             init_ms = init_ms.max(self.spec.cycles_to_ms(shard.gpu.counters().cycles - c0));
             prev_bufs.push(buf);
         }
@@ -599,7 +589,6 @@ impl ShardedSampler {
                     None => {
                         // The shard died mid-step: its attempt's outputs
                         // are discarded, its walkers end at the boundary.
-                        shard.dead = true;
                         prev_bufs[s] = None;
                         walkers_lost += owned.len() as u64;
                     }

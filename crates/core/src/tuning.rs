@@ -410,32 +410,32 @@ impl AutoTuner {
     }
 }
 
-/// Sizing and promotion policy of the [`HotTransitCache`].
+/// Promotion policy of the [`HotTransitCache`]. Its sizes are fixed:
+/// the adjacency arena holds at most 65,536 device words and 512
+/// transits, and the scheduling-index memo at most 65,536 live pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Device words (`u32` column entries) the adjacency arena may hold.
-    pub max_words: usize,
     /// Minimum observed touches before a transit is promoted.
     pub min_hits: u64,
-    /// Maximum resident transits, regardless of their sizes.
-    pub max_entries: usize,
-    /// Total live pairs the scheduling-index memo may retain across all
-    /// of its entries; once the budget is spent, further steps are
-    /// rebuilt every query (first-stored entries are kept — in serving
-    /// traffic those are the recurring ones).
-    pub memo_max_pairs: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
-        CacheConfig {
-            max_words: 1 << 16,
-            min_hits: 3,
-            max_entries: 512,
-            memo_max_pairs: 1 << 16,
-        }
+        CacheConfig { min_hits: 3 }
     }
 }
+
+/// Device words (`u32` column entries) the adjacency arena may hold.
+const ARENA_MAX_WORDS: usize = 1 << 16;
+
+/// Maximum arena-resident transits, regardless of their sizes.
+const ARENA_MAX_ENTRIES: usize = 512;
+
+/// Total live pairs the scheduling-index memo may retain across all of its
+/// entries; once the budget is spent, further steps are rebuilt every
+/// query (first-stored entries are kept — in serving traffic those are the
+/// recurring ones).
+const MEMO_MAX_PAIRS: usize = 1 << 16;
 
 /// Deterministic counters of the cache's behaviour. `hits`/`misses` count
 /// transit segments served per step; everything else counts maintenance
@@ -603,7 +603,7 @@ impl HotTransitCache {
         self.stats.sched_builds += 1;
         let key = memo_key(pairs, m, block_dim);
         let replaced = self.memo.get(&key).map_or(0, |e| e.pairs.len());
-        if self.memo_pairs - replaced + pairs.len() > self.cfg.memo_max_pairs {
+        if self.memo_pairs - replaced + pairs.len() > MEMO_MAX_PAIRS {
             return;
         }
         self.memo_pairs = self.memo_pairs - replaced + pairs.len();
@@ -636,10 +636,10 @@ impl HotTransitCache {
         let mut words = 0usize;
         for (_, t) in cands {
             let deg = graph.degree(t);
-            if new_set.len() >= self.cfg.max_entries {
+            if new_set.len() >= ARENA_MAX_ENTRIES {
                 break;
             }
-            if words + deg > self.cfg.max_words {
+            if words + deg > ARENA_MAX_WORDS {
                 continue;
             }
             words += deg;
@@ -831,35 +831,42 @@ mod tests {
     #[test]
     fn maintain_promotes_and_evicts_deterministically() {
         use nextdoor_graph::gen::{rmat, RmatParams};
-        let g = rmat(6, 400, RmatParams::SKEWED, 3);
+        // Far fewer than ARENA_MAX_WORDS column entries in total, so only
+        // the entry cap can bind.
+        let g = rmat(10, 8000, RmatParams::SKEWED, 3);
         let mut gpu = Gpu::new(GpuSpec::small());
         let gg = GpuGraph::upload(&mut gpu, &g).expect("graph fits");
-        let mut cache = HotTransitCache::new(CacheConfig {
-            min_hits: 1,
-            max_entries: 2,
-            ..CacheConfig::default()
-        });
+        let mut cache = HotTransitCache::new(CacheConfig::default());
         let connected: Vec<VertexId> = (0..g.num_vertices() as VertexId)
             .filter(|&v| g.degree(v) > 0)
-            .take(3)
+            .take(ARENA_MAX_ENTRIES + 1)
             .collect();
-        assert_eq!(connected.len(), 3, "rmat graph has connected vertices");
-        cache.freq.insert(connected[0], 5);
-        cache.freq.insert(connected[1], 3);
-        cache.freq.insert(connected[2], 1);
+        assert_eq!(
+            connected.len(),
+            ARENA_MAX_ENTRIES + 1,
+            "rmat graph has enough connected vertices"
+        );
+        assert!(g.num_edges() <= ARENA_MAX_WORDS);
+        let (last, hot) = connected.split_last().unwrap();
+        for &v in hot {
+            cache.freq.insert(v, 10);
+        }
+        cache.freq.insert(*last, 5);
         cache.maintain(&mut gpu, &g, &gg);
-        let mut want = [connected[0], connected[1]];
-        want.sort_unstable();
-        assert_eq!(cache.resident(), &want[..], "two hottest, ascending");
-        assert_eq!(cache.stats().installs, 2);
-        // A new hub overtakes: maintenance must evict to make room.
-        cache.freq.insert(connected[2], 50);
-        cache.freq.insert(connected[0], 40);
+        assert_eq!(cache.resident(), hot, "the 512 hottest, ascending");
+        assert_eq!(cache.stats().installs, ARENA_MAX_ENTRIES as u64);
+        // A new hub overtakes: maintenance must evict to make room. Aging
+        // left every resident transit at 5, so the highest id goes.
+        cache.freq.insert(*last, 50);
         cache.maintain(&mut gpu, &g, &gg);
-        let mut want = [connected[2], connected[0]];
-        want.sort_unstable();
+        let want: Vec<VertexId> = hot[..hot.len() - 1]
+            .iter()
+            .chain(std::iter::once(last))
+            .copied()
+            .collect();
         assert_eq!(cache.resident(), &want[..]);
-        assert!(cache.stats().evictions >= 1);
+        assert_eq!(cache.stats().installs, ARENA_MAX_ENTRIES as u64 + 1);
+        assert_eq!(cache.stats().evictions, 1);
     }
 
     #[test]
@@ -868,10 +875,7 @@ mod tests {
         let g = rmat(6, 400, RmatParams::SKEWED, 3);
         let mut gpu = Gpu::new(GpuSpec::small());
         let gg = GpuGraph::upload(&mut gpu, &g).expect("graph fits");
-        let mut cache = HotTransitCache::new(CacheConfig {
-            min_hits: 1,
-            ..CacheConfig::default()
-        });
+        let mut cache = HotTransitCache::new(CacheConfig { min_hits: 1 });
         for v in 0..g.num_vertices() as VertexId {
             cache.freq.insert(v, 10);
         }
@@ -905,14 +909,13 @@ mod tests {
 
     #[test]
     fn sched_memo_is_content_keyed_and_budgeted() {
-        let mut cache = HotTransitCache::new(CacheConfig {
-            memo_max_pairs: 4,
-            ..CacheConfig::default()
-        });
+        let mut cache = HotTransitCache::default();
         let index = SchedulingIndex::default();
         let classes = KernelClasses::default();
-        let a = vec![(1u32, 0u32), (2, 1)];
-        let b = vec![(3u32, 0u32), (4, 1)];
+        // Two sets of half the budget each fill it exactly.
+        let half = MEMO_MAX_PAIRS as u32 / 2;
+        let a: Vec<(VertexId, u32)> = (0..half).map(|i| (i, i)).collect();
+        let b: Vec<(VertexId, u32)> = (0..half).map(|i| (half + i, i)).collect();
         cache.store_sched(&a, 2, 1024, &index, &classes);
         cache.store_sched(&b, 2, 1024, &index, &classes);
         assert!(cache.lookup_sched(&a, 2, 1024).is_some());

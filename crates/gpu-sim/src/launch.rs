@@ -453,16 +453,6 @@ impl Gpu {
         &self.profile
     }
 
-    /// Rebounds the profile buffer to `capacity` events, keeping existing
-    /// events (the oldest are folded into the evicted aggregate if the new
-    /// bound is smaller).
-    pub fn set_profile_capacity(&mut self, capacity: usize) {
-        let mut fresh = Profile::with_capacity(capacity);
-        let old = std::mem::take(&mut self.profile);
-        fresh.absorb(old);
-        self.profile = fresh;
-    }
-
     /// Kernel launches issued so far. Monotonic over the device's lifetime
     /// (never reset), so a pair of snapshots brackets the profile records
     /// of any code region by `launch_idx`.

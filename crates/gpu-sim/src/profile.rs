@@ -230,16 +230,6 @@ impl Profile {
         self.evicted = Counters::default();
         self.evicted_events = 0;
     }
-
-    /// Folds another profile's history into this one, oldest first (used
-    /// when rebounding the buffer).
-    pub(crate) fn absorb(&mut self, other: Profile) {
-        self.evicted.merge(&other.evicted);
-        self.evicted_events += other.evicted_events;
-        for e in other.events {
-            self.push(e);
-        }
-    }
 }
 
 /// Whole-profile aggregate for one kernel name, as reported by

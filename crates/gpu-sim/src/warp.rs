@@ -54,8 +54,8 @@ pub(crate) struct WarpStats {
 
 /// A handle to a block-shared memory array of `u32` words.
 ///
-/// Obtained from [`crate::BlockCtx::shared_alloc`]; `f32` values are stored
-/// via their bit patterns (see [`WarpCtx::ld_shared_f32`]).
+/// Obtained from [`crate::BlockCtx::shared_alloc`]; read and written with
+/// [`WarpCtx::ld_shared`] and [`WarpCtx::st_shared`].
 #[derive(Debug, Clone, Copy)]
 pub struct SharedArray {
     pub(crate) offset: usize,
@@ -339,28 +339,6 @@ impl<'a> WarpCtx<'a> {
         }
         self.stats.counters.shared_stores += 1;
         self.stats.pipeline_cycles += self.cost.shared_cycles;
-    }
-
-    /// Shared-memory load of `f32` values stored as bit patterns.
-    pub fn ld_shared_f32(
-        &mut self,
-        arr: &SharedArray,
-        idxs: &[usize; WARP_SIZE],
-        mask: Mask,
-    ) -> [f32; WARP_SIZE] {
-        let raw = self.ld_shared(arr, idxs, mask);
-        std::array::from_fn(|l| f32::from_bits(raw[l]))
-    }
-
-    /// Shared-memory store of `f32` values as bit patterns.
-    pub fn st_shared_f32(
-        &mut self,
-        arr: &SharedArray,
-        idxs: &[usize; WARP_SIZE],
-        vals: [f32; WARP_SIZE],
-        mask: Mask,
-    ) {
-        self.st_shared(arr, idxs, vals.map(f32::to_bits), mask);
     }
 
     /// Warp shuffle: every active lane reads `vals[srcs[l]]` from lane

@@ -80,11 +80,6 @@ impl Clustering {
         &self.members[c as usize]
     }
 
-    /// All member lists.
-    pub fn all_members(&self) -> &[Vec<VertexId>] {
-        &self.members
-    }
-
     /// Computes the partition-quality statistics of this clustering over
     /// `g` (which must be the graph it was built from, or one with the
     /// same vertex count).

@@ -226,15 +226,6 @@ impl Csr {
         }
     }
 
-    /// Strips weights, returning an unweighted copy.
-    pub fn without_weights(&self) -> Self {
-        Self {
-            row_offsets: self.row_offsets.clone(),
-            col_indices: self.col_indices.clone(),
-            weights: None,
-        }
-    }
-
     /// Approximate resident size of the graph in bytes (CSR arrays only).
     pub fn size_bytes(&self) -> usize {
         self.row_offsets.len() * std::mem::size_of::<usize>()

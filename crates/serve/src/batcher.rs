@@ -204,7 +204,7 @@ pub struct Response {
 ///
 /// The batcher owns admission, formation, shedding and per-request
 /// accounting; a backend owns only how one formed batch reaches a device
-/// (routing, retries, breakers, hedging) and records its own dispatch-level
+/// (routing, retries, breakers) and records its own dispatch-level
 /// spans into the batcher's [`Obs`].
 pub trait Backend {
     /// The simulated clock requests are admitted and timed on, in ms. A
@@ -1153,10 +1153,7 @@ mod tests {
         let mut tuned = batcher(ServeConfig::default());
         tuned.enable_tuning(
             TunerConfig { warmup_queries: 1 },
-            CacheConfig {
-                min_hits: 1,
-                ..CacheConfig::default()
-            },
+            CacheConfig { min_hits: 1 },
         );
         let mut plain = batcher(ServeConfig::default());
         for round in 0..4u64 {

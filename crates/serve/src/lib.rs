@@ -25,8 +25,8 @@
 //!    a [`Ticket`]. It is generic over a [`BatchEngine`], so the same
 //!    server fronts a lone session or a replicated pool.
 //! 4. [`ReplicaPool`] — the fault-tolerant backend: N session replicas of
-//!    the same graph behind a deterministic router with retry/backoff,
-//!    hedging and per-replica circuit breakers ([`CircuitBreaker`]); a
+//!    the same graph behind a deterministic router with retry/backoff and
+//!    per-replica circuit breakers ([`CircuitBreaker`]); a
 //!    [`FleetBatcher`] over it degrades gracefully with priority shedding
 //!    and reports every recovery decision in a per-run [`FleetReport`].
 //!    All of it runs on the simulated fleet clock, so chaos runs are

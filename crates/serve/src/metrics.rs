@@ -245,10 +245,6 @@ pub struct SimMetrics {
     pub class_launches: u64,
     /// Dispatch retries after recoverable replica failures.
     pub retries: u64,
-    /// Hedged dispatches issued.
-    pub hedges: u64,
-    /// Hedges that beat the primary.
-    pub hedge_wins: u64,
     /// Times the scheduler waited out a breaker cool-down.
     pub cooldown_waits: u64,
     /// Walkers handed between shards during super-step exchanges (sharded
@@ -289,8 +285,6 @@ impl SimMetrics {
             batches: 0,
             class_launches: 0,
             retries: 0,
-            hedges: 0,
-            hedge_wins: 0,
             cooldown_waits: 0,
             handoffs: 0,
             super_steps: 0,
@@ -455,8 +449,8 @@ impl ServeMetrics {
         let counters = format!(
             "{{\"admitted\":{},\"queue_rejected\":{},\"completed\":{},\"deadline_missed\":{},\
              \"expired_shed\":{},\"overload_shed\":{},\"failed\":{},\"batches\":{},\
-             \"class_launches\":{},\"retries\":{},\"hedges\":{},\"hedge_wins\":{},\
-             \"cooldown_waits\":{},\"handoffs\":{},\"super_steps\":{},\"shard_shed\":{}}}",
+             \"class_launches\":{},\"retries\":{},\"cooldown_waits\":{},\"handoffs\":{},\
+             \"super_steps\":{},\"shard_shed\":{}}}",
             s.admitted,
             s.queue_rejected,
             s.completed,
@@ -467,8 +461,6 @@ impl ServeMetrics {
             s.batches,
             s.class_launches,
             s.retries,
-            s.hedges,
-            s.hedge_wins,
             s.cooldown_waits,
             s.handoffs,
             s.super_steps,

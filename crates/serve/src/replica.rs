@@ -5,7 +5,7 @@
 //! out-of-memory storm or one device loss away from dropping every request
 //! in flight. The replicated tier owns **N sessions over the same graph**
 //! (independent simulated devices, possibly carrying independent
-//! [`FaultPlan`]s) and composes four recovery
+//! [`FaultPlan`]s) and composes three recovery
 //! mechanisms around them:
 //!
 //! * **Routing**: every micro-batch goes to the least-loaded *healthy*
@@ -13,27 +13,25 @@
 //!   for failover, [`least_loaded_alive`]). Replica choice never changes
 //!   the samples — engines key all randomness through
 //!   [`SampleKeys`](nextdoor_core::engine::SampleKeys), not device state.
-//! * **Retry with backoff**: a failed dispatch is retried on the next
-//!   healthy replica, up to a budget, with exponential backoff charged to
-//!   the *fleet clock* (a deterministic simulated-ms timeline), never to
-//!   wall time.
+//! * **Retry with backoff**: a failed dispatch is retried, up to a budget,
+//!   with exponential backoff charged to the *fleet clock* (a
+//!   deterministic simulated-ms timeline), never to wall time. Every
+//!   attempt, retries included, is routed by the same rule, so a retry
+//!   may land on the replica that just failed while its breaker is still
+//!   closed.
 //! * **Circuit breaking**: consecutive failures trip a per-replica
 //!   [`CircuitBreaker`]; the replica cools down on the fleet clock, then a
 //!   half-open probe either recovers it or re-trips it. Device loss kills
 //!   the breaker permanently.
-//! * **Hedging**: optionally, a batch whose service time exceeded a
-//!   latency budget is re-dispatched to a second healthy replica; the
-//!   earlier completion wins. Results are bit-identical either way, so
-//!   hedging only ever improves the latency accounting.
 //!
 //! These are the pool's [`Backend::dispatch`] policy. Admission, batch
 //! formation and degraded-mode shedding belong to the one [`Batcher`] in
 //! front of it: when healthy capacity drops below the pool size it shrinks
 //! the fused batch cap and sheds excess pending requests **lowest priority
 //! first** with a typed
-//! [`ServeError::Overloaded`] rejection. Every decision — retries, hedges,
-//! trips, probes, recoveries, sheds, degraded intervals — is surfaced in
-//! the per-run [`FleetReport`].
+//! [`ServeError::Overloaded`] rejection. Every decision — retries, trips,
+//! probes, recoveries, sheds, degraded intervals — is surfaced in the
+//! per-run [`FleetReport`].
 //!
 //! Determinism: the pool runs on one scheduler thread; each replica's
 //! device is internally deterministic at any host worker-thread count, and
@@ -61,9 +59,6 @@ pub struct PoolConfig {
     /// Simulated-ms backoff before retry `k`: `backoff_base_ms * 2^k`,
     /// charged to the fleet clock.
     pub backoff_base_ms: f64,
-    /// Latency budget in simulated ms above which a completed batch is
-    /// hedged onto a second healthy replica. `None` disables hedging.
-    pub hedge_after_ms: Option<f64>,
     /// Per-replica circuit-breaker knobs.
     pub breaker: BreakerConfig,
 }
@@ -73,7 +68,6 @@ impl Default for PoolConfig {
         PoolConfig {
             max_retries: 3,
             backoff_base_ms: 0.05,
-            hedge_after_ms: None,
             breaker: BreakerConfig::default(),
         }
     }
@@ -82,13 +76,10 @@ impl Default for PoolConfig {
 /// Per-replica slice of a [`FleetReport`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicaStats {
-    /// Fused batches dispatched to this replica (probes and hedges
-    /// included).
+    /// Fused batches dispatched to this replica (probes included).
     pub dispatches: u64,
     /// Dispatches that returned a typed error.
     pub failures: u64,
-    /// Hedged re-dispatches served by this replica.
-    pub hedges: u64,
     /// Breaker trips (consecutive-failure and failed-probe trips).
     pub trips: u64,
     /// Half-open probe dispatches.
@@ -115,10 +106,6 @@ pub struct FleetReport {
     pub requests: u64,
     /// Serving-level re-dispatches after a failed attempt.
     pub retries: u64,
-    /// Batches hedged onto a second replica.
-    pub hedges: u64,
-    /// Hedges that completed before the primary would have.
-    pub hedge_wins: u64,
     /// Requests shed with [`ServeError::Overloaded`] under degraded
     /// capacity.
     pub shed: u64,
@@ -155,7 +142,6 @@ struct Replica {
     breaker: CircuitBreaker,
     dispatches: u64,
     failures: u64,
-    hedges: u64,
     lost: bool,
     faults: FaultReport,
 }
@@ -180,8 +166,6 @@ pub struct ReplicaPool {
     batches: u64,
     requests: u64,
     retries: u64,
-    hedges: u64,
-    hedge_wins: u64,
     cooldown_waits: u64,
 }
 
@@ -217,7 +201,6 @@ impl ReplicaPool {
                 breaker: CircuitBreaker::new(cfg.breaker),
                 dispatches: 0,
                 failures: 0,
-                hedges: 0,
                 lost: false,
                 faults: FaultReport::default(),
             });
@@ -229,8 +212,6 @@ impl ReplicaPool {
             batches: 0,
             requests: 0,
             retries: 0,
-            hedges: 0,
-            hedge_wins: 0,
             cooldown_waits: 0,
         })
     }
@@ -301,7 +282,6 @@ impl ReplicaPool {
                 .map(|r| ReplicaStats {
                     dispatches: r.dispatches,
                     failures: r.failures,
-                    hedges: r.hedges,
                     trips: r.breaker.trips,
                     probes: r.breaker.probes,
                     recoveries: r.breaker.recoveries,
@@ -312,8 +292,6 @@ impl ReplicaPool {
             batches: self.batches,
             requests: self.requests,
             retries: self.retries,
-            hedges: self.hedges,
-            hedge_wins: self.hedge_wins,
             shed: 0,
             cooldown_waits: self.cooldown_waits,
             degraded_intervals: Vec::new(),
@@ -326,14 +304,12 @@ impl ReplicaPool {
     }
 
     /// The least-loaded routable replica (load = accumulated device sim
-    /// time), excluding `exclude` — the shared failover rule of
-    /// [`least_loaded_alive`].
-    fn pick(&self, exclude: Option<usize>) -> Option<usize> {
+    /// time) — the shared failover rule of [`least_loaded_alive`].
+    fn pick(&self) -> Option<usize> {
         let alive: Vec<bool> = self
             .replicas
             .iter()
-            .enumerate()
-            .map(|(i, r)| Some(i) != exclude && r.breaker.available(self.fleet_ms))
+            .map(|r| r.breaker.available(self.fleet_ms))
             .collect();
         let load: Vec<f64> = self.replicas.iter().map(|r| r.session.sim_ms()).collect();
         least_loaded_alive(&alive, &load)
@@ -419,76 +395,6 @@ impl ReplicaPool {
                 .ok(false),
         );
     }
-
-    /// Applies the hedging policy to a completed primary attempt: when its
-    /// service time exceeded the budget and another healthy replica
-    /// exists, re-dispatch there and keep the earlier completion. The
-    /// hedge is modelled as overlapping the primary's tail — it starts at
-    /// `primary start + budget` — so the batch completes at the minimum of
-    /// the two completion instants; the fleet clock is rewound to it.
-    /// Returns the kept result and the replica that produced it.
-    fn maybe_hedge(
-        &mut self,
-        queries: &[SessionQuery],
-        primary: FusedResult,
-        dev: usize,
-        start_ms: f64,
-        batch_seq: u64,
-        obs: &mut Obs,
-    ) -> (FusedResult, usize) {
-        let primary_end_ms = self.fleet_ms;
-        let Some(budget) = self.cfg.hedge_after_ms else {
-            return (primary, dev);
-        };
-        if primary_end_ms - start_ms <= budget {
-            return (primary, dev);
-        }
-        let Some(hedge_dev) = self.pick(Some(dev)) else {
-            return (primary, dev);
-        };
-        self.hedges += 1;
-        self.replicas[hedge_dev].hedges += 1;
-        obs.metrics.sim.hedges += 1;
-        match self.attempt(hedge_dev, queries, batch_seq, obs) {
-            Ok(hedged) => {
-                let hedge_end_ms = start_ms + budget + (self.fleet_ms - primary_end_ms);
-                let win = hedge_end_ms < primary_end_ms;
-                obs.trace.push(
-                    Span::new(SpanKind::Hedge, start_ms + budget, hedge_end_ms)
-                        .batch(batch_seq)
-                        .replica(hedge_dev)
-                        .ok(win),
-                );
-                if win {
-                    self.hedge_wins += 1;
-                    obs.metrics.sim.hedge_wins += 1;
-                    // Both results are bit-identical (counter-keyed RNG);
-                    // keep the winner's and its earlier completion.
-                    debug_assert_eq!(
-                        hedged.per_query.len(),
-                        primary.per_query.len(),
-                        "hedge must mirror the primary batch"
-                    );
-                    self.fleet_ms = hedge_end_ms;
-                    return (hedged, hedge_dev);
-                }
-            }
-            Err(_) => {
-                // A failed hedge never hurts the already-complete primary;
-                // the failure is recorded against the hedge replica.
-                obs.trace.push(
-                    Span::new(SpanKind::Hedge, start_ms + budget, self.fleet_ms)
-                        .batch(batch_seq)
-                        .replica(hedge_dev)
-                        .ok(false),
-                );
-            }
-        }
-        // The primary would still have finished first: its completion
-        // stands, the hedge only burned spare capacity.
-        self.fleet_ms = primary_end_ms;
-        (primary, dev)
-    }
 }
 
 /// The replicated backend: its clock is the fleet clock, its units the
@@ -512,10 +418,10 @@ impl Backend for ReplicaPool {
         (self.healthy_count(), self.replicas.len())
     }
 
-    /// Dispatches one fused batch to the fleet: routes to the least-loaded
-    /// healthy replica, retries with fleet-clock backoff on runtime
-    /// failures, waits out breaker cool-downs when nobody is routable, and
-    /// optionally hedges slow batches onto a second replica.
+    /// Dispatches one fused batch to the fleet: routes every attempt to the
+    /// least-loaded healthy replica, retries with fleet-clock backoff on
+    /// runtime failures, and waits out breaker cool-downs when nobody is
+    /// routable.
     ///
     /// # Errors
     ///
@@ -535,7 +441,7 @@ impl Backend for ReplicaPool {
         let start_ms = self.fleet_ms;
         let mut retries = 0usize;
         let (fused, replica) = loop {
-            let Some(dev) = self.pick(None) else {
+            let Some(dev) = self.pick() else {
                 // Nobody is routable right now. If some breaker merely
                 // cools down, advance the fleet clock to its reopen
                 // instant (a deterministic "wait"); otherwise the fleet
@@ -556,7 +462,7 @@ impl Backend for ReplicaPool {
                 continue;
             };
             match self.attempt(dev, queries, batch_seq, obs) {
-                Ok(fused) => break self.maybe_hedge(queries, fused, dev, start_ms, batch_seq, obs),
+                Ok(fused) => break (fused, dev),
                 Err(e) if !retryable(&e) || retries >= self.cfg.max_retries => {
                     self.record_failed(obs, batch_seq, start_ms, queries.len());
                     return Err(ServeError::Sampling(e));
@@ -732,7 +638,6 @@ mod tests {
         let cfg = PoolConfig {
             max_retries: 50,
             backoff_base_ms: 0.01,
-            hedge_after_ms: None,
             breaker: BreakerConfig {
                 trip_after: 2,
                 cooldown_ms: 0.5,
@@ -789,29 +694,6 @@ mod tests {
         let rep = pool.report_core();
         assert_eq!(rep.retries, 100);
         assert!(rep.fleet_ms.is_finite());
-    }
-
-    #[test]
-    fn hedging_counts_and_keeps_samples_identical() {
-        let cfg = PoolConfig {
-            hedge_after_ms: Some(0.0), // hedge every batch
-            ..PoolConfig::default()
-        };
-        let mut pool = pool_with_plans(vec![FaultPlan::new(), FaultPlan::new()], cfg);
-        let res = dispatch(&mut pool, 9).unwrap();
-        let rep = pool.report_core();
-        assert_eq!(rep.hedges, 1);
-        assert_eq!(
-            rep.replicas[0].dispatches + rep.replicas[1].dispatches,
-            2,
-            "primary plus hedge"
-        );
-        let mut clean = pool_with_plans(vec![FaultPlan::new()], PoolConfig::default());
-        let want = dispatch(&mut clean, 9).unwrap();
-        assert_eq!(
-            res.per_query[0].final_samples(),
-            want.per_query[0].final_samples()
-        );
     }
 
     #[test]

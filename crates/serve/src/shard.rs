@@ -50,8 +50,6 @@ pub struct ShardPoolConfig {
     pub num_shards: usize,
     /// Seed of the deterministic placement clustering.
     pub placement_seed: u64,
-    /// Per-shard circuit-breaker knobs.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for ShardPoolConfig {
@@ -59,7 +57,6 @@ impl Default for ShardPoolConfig {
         ShardPoolConfig {
             num_shards: 2,
             placement_seed: 0x5AD0,
-            breaker: BreakerConfig::default(),
         }
     }
 }
@@ -105,7 +102,7 @@ pub struct ShardedPool {
 impl ShardedPool {
     /// Builds a sharded pool: partitions `graph` across
     /// `cfg.num_shards` devices of `spec` and arms one circuit breaker per
-    /// shard.
+    /// shard, with the default [`BreakerConfig`].
     ///
     /// # Errors
     ///
@@ -121,7 +118,7 @@ impl ShardedPool {
         let n = sampler.num_shards();
         Ok(ShardedPool {
             sampler,
-            breakers: vec![CircuitBreaker::new(cfg.breaker); n],
+            breakers: vec![CircuitBreaker::new(BreakerConfig::default()); n],
             obs: Obs::default(),
             batches: 0,
             requests: 0,
@@ -390,7 +387,6 @@ impl ShardedPool {
                 .map(|s| ReplicaStats {
                     dispatches: self.shard_dispatches[s],
                     failures: self.shard_failures[s],
-                    hedges: 0,
                     trips: self.breakers[s].trips,
                     probes: self.breakers[s].probes,
                     recoveries: self.breakers[s].recoveries,
@@ -401,8 +397,6 @@ impl ShardedPool {
             batches: self.batches,
             requests: self.requests,
             retries: 0,
-            hedges: 0,
-            hedge_wins: 0,
             shed: self.shed,
             cooldown_waits: 0,
             degraded_intervals: Vec::new(),

@@ -6,7 +6,7 @@
 //!
 //! A request's life is admission → queued → batch formation → dispatch
 //! (per width class: a fused launch sequence; per attempt on a replicated
-//! pool: replica service, retry/backoff, hedge) → completion, or one of
+//! pool: replica service, retry/backoff) → completion, or one of
 //! the shed exits (queue-full rejection, deadline expiry, degraded-mode
 //! overload shed). Each phase is a [`SpanKind`]; instantaneous events are
 //! spans with `start_ms == end_ms`. Spans carry the ids needed to join
@@ -63,8 +63,6 @@ pub enum SpanKind {
     Backoff,
     /// The scheduler waited out the earliest breaker cool-down.
     CooldownWait,
-    /// A hedged duplicate dispatch raced the primary (modeled interval).
-    Hedge,
     /// A request was shed by degraded-mode load shedding (instant).
     OverloadShed,
     /// A request's deadline expired in the queue: admission to shed.
@@ -119,8 +117,8 @@ pub struct Span {
     /// produced — the span-link key into the device profiler's
     /// [`KernelRecord`](nextdoor_gpu::KernelRecord)s.
     pub launches: Option<(u64, u64)>,
-    /// Whether the phase succeeded, where failure is possible (attempts,
-    /// dispatches, hedges).
+    /// Whether the phase succeeded, where failure is possible (attempts
+    /// and dispatches).
     pub ok: Option<bool>,
 }
 
@@ -294,7 +292,6 @@ fn span_tid(s: &Span) -> usize {
         SpanKind::Dispatch
         | SpanKind::Backoff
         | SpanKind::CooldownWait
-        | SpanKind::Hedge
         | SpanKind::OverloadShed
         | SpanKind::CacheInstall => TID_SCHEDULER,
         SpanKind::Attempt | SpanKind::ClassLaunch | SpanKind::SuperStep | SpanKind::Handoff => {
@@ -321,7 +318,6 @@ fn span_name(kind: SpanKind) -> &'static str {
         SpanKind::Attempt => "attempt",
         SpanKind::Backoff => "backoff",
         SpanKind::CooldownWait => "cooldown-wait",
-        SpanKind::Hedge => "hedge",
         SpanKind::OverloadShed => "overload-shed",
         SpanKind::Expired => "expired",
         SpanKind::DeadlineMiss => "deadline-miss",

@@ -8,7 +8,7 @@
 //! ```
 
 use nextdoor::apps::KHop;
-use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu_with_faults;
+use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
 use nextdoor::core::{initial_samples_random, run_nextdoor};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::Dataset;
@@ -41,9 +41,8 @@ fn main() {
         FaultPlan::new().lose_device_at_launch(2),
         FaultPlan::new(),
     ];
-    let multi =
-        run_nextdoor_multi_gpu_with_faults(&GpuSpec::v100(), 3, &graph, &app, &init, 123, &plans)
-            .expect("failover succeeds");
+    let multi = run_nextdoor_multi_gpu(&GpuSpec::v100(), 3, &graph, &app, &init, 123, &plans)
+        .expect("failover succeeds");
     println!("multi GPU survived: {}", multi.report);
 
     // Unrecoverable: the only device is lost — a typed error, not a panic.

@@ -95,7 +95,6 @@ fn run_chaos(spec: &GpuSpec) -> (String, String) {
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.05,
-            hedge_after_ms: None,
             breaker: nextdoor::serve::BreakerConfig {
                 trip_after: 2,
                 cooldown_ms: 0.5,
@@ -343,7 +342,6 @@ fn chaos_run_recovers_breaker_and_sheds_typed() {
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.05,
-            hedge_after_ms: None,
             breaker: nextdoor::serve::BreakerConfig {
                 trip_after: 2,
                 cooldown_ms: 0.5,

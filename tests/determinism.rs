@@ -10,7 +10,7 @@
 //! determinism` after an intentional change to the cost model or engines.
 
 use nextdoor::apps::KHop;
-use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu_with_faults;
+use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
 use nextdoor::core::{
     initial_samples_random, run_cpu, run_nextdoor, run_sample_parallel, run_vanilla_tp, RunResult,
 };
@@ -143,8 +143,7 @@ fn multi_gpu_failover_is_thread_count_invariant() {
         FaultPlan::default(),
     ];
     assert_thread_invariant("multi_gpu_failover", |spec| {
-        let res =
-            run_nextdoor_multi_gpu_with_faults(&spec, 3, &graph, &app, &init, 7, &plans).unwrap();
+        let res = run_nextdoor_multi_gpu(&spec, 3, &graph, &app, &init, 7, &plans).unwrap();
         assert_eq!(res.report.devices_lost, 1);
         assert_eq!(res.report.failovers, 1);
         let samples: Vec<_> = res
@@ -268,10 +267,7 @@ fn tuned_session_is_thread_count_invariant() {
         };
         let mut tuned = mk();
         tuned.enable_autotune(nextdoor::core::tuning::TunerConfig { warmup_queries: 1 });
-        tuned.enable_hot_cache(nextdoor::core::tuning::CacheConfig {
-            min_hits: 1,
-            ..Default::default()
-        });
+        tuned.enable_hot_cache(nextdoor::core::tuning::CacheConfig { min_hits: 1 });
         let mut plain = mk();
         let mut out = String::new();
         for q in 0..4u64 {
@@ -326,7 +322,6 @@ fn serve_observability_is_thread_count_invariant() {
             nextdoor::serve::PoolConfig {
                 max_retries: 6,
                 backoff_base_ms: 0.001,
-                hedge_after_ms: None,
                 breaker: nextdoor::serve::BreakerConfig {
                     trip_after: 2,
                     cooldown_ms: 0.01,

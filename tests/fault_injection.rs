@@ -4,7 +4,7 @@
 //! to a fault-free run — the counter-based RNG makes re-execution exact.
 
 use nextdoor::apps::KHop;
-use nextdoor::core::multi_gpu::{run_nextdoor_multi_gpu, run_nextdoor_multi_gpu_with_faults};
+use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
 use nextdoor::core::{initial_samples_random, run_nextdoor, NextDoorError};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::Dataset;
@@ -20,7 +20,7 @@ fn scripted_faults_survive_a_multi_gpu_khop_run() {
     let app = KHop::new(vec![4, 2]);
     let spec = GpuSpec::small();
 
-    let clean = run_nextdoor_multi_gpu(&spec, 3, &graph, &app, &init, 7).unwrap();
+    let clean = run_nextdoor_multi_gpu(&spec, 3, &graph, &app, &init, 7, &[]).unwrap();
 
     let plans = vec![
         // Device 0: the very first allocation (the graph upload) fails,
@@ -33,8 +33,7 @@ fn scripted_faults_survive_a_multi_gpu_khop_run() {
         // shard fails over to a surviving device.
         FaultPlan::new().lose_device_at_launch(2),
     ];
-    let faulty =
-        run_nextdoor_multi_gpu_with_faults(&spec, 3, &graph, &app, &init, 7, &plans).unwrap();
+    let faulty = run_nextdoor_multi_gpu(&spec, 3, &graph, &app, &init, 7, &plans).unwrap();
 
     assert!(
         faulty.report.degraded_to_out_of_core,

@@ -164,7 +164,6 @@ fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.001,
-            hedge_after_ms: None,
             breaker: BreakerConfig {
                 trip_after: 2,
                 cooldown_ms: 0.01,
@@ -206,8 +205,6 @@ fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
     // Metrics counters are the report's counters.
     assert_eq!(m.sim.batches, report.batches);
     assert_eq!(m.sim.retries, report.retries);
-    assert_eq!(m.sim.hedges, report.hedges);
-    assert_eq!(m.sim.hedge_wins, report.hedge_wins);
     assert_eq!(m.sim.cooldown_waits, report.cooldown_waits);
     assert_eq!(m.sim.overload_shed, report.shed);
     assert_eq!(m.sim.admitted, 48);
@@ -219,7 +216,6 @@ fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
     );
     // The trace's span population mirrors the same counters.
     assert_eq!(t.count(SpanKind::Backoff) as u64, report.retries);
-    assert_eq!(t.count(SpanKind::Hedge) as u64, report.hedges);
     assert_eq!(
         t.count(SpanKind::CooldownWait) as u64,
         report.cooldown_waits

@@ -52,8 +52,16 @@ fn gnn_trains_with_both_samplers_and_learns() {
 fn multi_gpu_covers_all_samples_and_validates() {
     let graph = Dataset::Ppi.generate(0.02, 2);
     let init = initial_samples_random(&graph, 200, 1, 3).unwrap();
-    let res =
-        run_nextdoor_multi_gpu(&GpuSpec::small(), 4, &graph, &DeepWalk::new(8), &init, 9).unwrap();
+    let res = run_nextdoor_multi_gpu(
+        &GpuSpec::small(),
+        4,
+        &graph,
+        &DeepWalk::new(8),
+        &init,
+        9,
+        &[],
+    )
+    .unwrap();
     assert_eq!(res.total_samples(), 200);
     for per_gpu in &res.per_gpu {
         for s in per_gpu.store.final_samples() {

@@ -149,8 +149,16 @@ fn profiles_are_bit_identical_across_runs() {
 fn multi_gpu_exposes_per_device_profiles() {
     let graph = small_graph();
     let init = initial_samples_random(&graph, 60, 1, 8).unwrap();
-    let res = run_nextdoor_multi_gpu(&GpuSpec::small(), 3, &graph, &KHop::new(vec![2]), &init, 5)
-        .unwrap();
+    let res = run_nextdoor_multi_gpu(
+        &GpuSpec::small(),
+        3,
+        &graph,
+        &KHop::new(vec![2]),
+        &init,
+        5,
+        &[],
+    )
+    .unwrap();
     assert_eq!(res.device_profiles.len(), 3);
     for (d, p) in res.device_profiles.iter().enumerate() {
         assert!(p.kernels().count() > 0, "device {d} profiled no kernels");
@@ -200,7 +208,7 @@ fn ragged_init_rejected_at_every_entry_point() {
         "run_nextdoor_out_of_core",
     );
     ragged_err(
-        run_nextdoor_multi_gpu(&GpuSpec::small(), 2, &graph, &app, &ragged, 1).map(|_| ()),
+        run_nextdoor_multi_gpu(&GpuSpec::small(), 2, &graph, &app, &ragged, 1, &[]).map(|_| ()),
         "run_nextdoor_multi_gpu",
     );
 }

@@ -79,10 +79,7 @@ proptest! {
         let mut plain = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
         let mut tuned = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
         tuned.set_tuning_plan(plan);
-        tuned.enable_hot_cache(CacheConfig {
-            min_hits: 1,
-            ..CacheConfig::default()
-        });
+        tuned.enable_hot_cache(CacheConfig { min_hits: 1 });
         for q in 0..3u64 {
             let a = plain.query(&init, seed + q).unwrap();
             let b = tuned.query(&init, seed + q).unwrap();
@@ -102,10 +99,7 @@ proptest! {
         let mut plain = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
         let mut tuned = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
         tuned.enable_autotune(TunerConfig { warmup_queries: 1 });
-        tuned.enable_hot_cache(CacheConfig {
-            min_hits: 1,
-            ..CacheConfig::default()
-        });
+        tuned.enable_hot_cache(CacheConfig { min_hits: 1 });
         tuned.schedule_faults(faults);
         for q in 0..3u64 {
             let want = plain.query(&init, seed + q).unwrap();
