@@ -195,3 +195,124 @@ fn occupancy_small_grids_leave_sms_idle() {
     let act = stats.counters.multiprocessor_activity();
     assert!(act > 90.0, "64 equal blocks on 8 SMs: activity {act}");
 }
+
+// ---------------------------------------------------------------------------
+// Closed-form memory-op accounting: exact sector and divergence counts for
+// access patterns whose answer follows from the 32-byte sector size alone.
+// ---------------------------------------------------------------------------
+
+/// Issues one `ld_global` and one `st_global` over `T` elements at `idxs`
+/// under `mask` on a fresh device; returns `(gld_transactions,
+/// gst_transactions)` after checking each op counted as one request.
+fn sectors_for<T: Copy + Default>(idxs: [usize; WARP_SIZE], mask: u32) -> (u64, u64) {
+    let mut gpu = Gpu::new(GpuSpec::small());
+    let len = idxs.iter().max().map_or(1, |&m| m + 1);
+    let buf = gpu.alloc::<T>(len);
+    one_warp(&mut gpu, |w| {
+        let v = w.ld_global(&buf, &idxs, mask);
+        w.st_global(&buf, &idxs, v, mask);
+    });
+    let c = gpu.counters();
+    assert_eq!((c.gld_requests, c.gst_requests), (1, 1));
+    (c.gld_transactions, c.gst_transactions)
+}
+
+#[test]
+fn contiguous_aligned_u32_lanes_touch_four_sectors() {
+    let idxs: [usize; WARP_SIZE] = std::array::from_fn(|l| l);
+    assert_eq!(sectors_for::<u32>(idxs, FULL_MASK), (4, 4));
+}
+
+#[test]
+fn u32_lanes_shifted_four_bytes_touch_five_sectors() {
+    let idxs: [usize; WARP_SIZE] = std::array::from_fn(|l| l + 1);
+    assert_eq!(sectors_for::<u32>(idxs, FULL_MASK), (5, 5));
+}
+
+#[test]
+fn reversed_lane_order_coalesces_like_ascending() {
+    let idxs: [usize; WARP_SIZE] = std::array::from_fn(|l| WARP_SIZE - 1 - l);
+    assert_eq!(sectors_for::<u32>(idxs, FULL_MASK), (4, 4));
+}
+
+#[test]
+fn broadcast_address_is_one_sector() {
+    assert_eq!(sectors_for::<u32>([7; WARP_SIZE], FULL_MASK), (1, 1));
+}
+
+#[test]
+fn sector_stride_gives_one_sector_per_lane() {
+    let idxs: [usize; WARP_SIZE] = std::array::from_fn(|l| l * 8);
+    assert_eq!(sectors_for::<u32>(idxs, FULL_MASK), (32, 32));
+}
+
+#[test]
+fn first_seven_lanes_fit_one_sector() {
+    let idxs: [usize; WARP_SIZE] = std::array::from_fn(|l| l);
+    let mask = nextdoor_gpu::warp::mask_first_n(7);
+    assert_eq!(sectors_for::<u32>(idxs, mask), (1, 1));
+}
+
+#[test]
+fn contiguous_u64_lanes_touch_eight_sectors() {
+    let idxs: [usize; WARP_SIZE] = std::array::from_fn(|l| l);
+    assert_eq!(sectors_for::<u64>(idxs, FULL_MASK), (8, 8));
+}
+
+#[test]
+fn atomic_add_on_four_sectors_serialises_in_lane_order() {
+    let mut gpu = Gpu::new(GpuSpec::small());
+    // Address `l % 4`, one sector apart: 8 lanes per address.
+    let idxs: [usize; WARP_SIZE] = std::array::from_fn(|l| (l % 4) * 8);
+    let buf = gpu.alloc::<u32>(32);
+    let mut olds = [0u32; WARP_SIZE];
+    one_warp(&mut gpu, |w| {
+        olds = w.atomic_add_global(&buf, &idxs, [1; WARP_SIZE], FULL_MASK);
+    });
+    let expect: [u32; WARP_SIZE] = std::array::from_fn(|l| (l / 4) as u32);
+    assert_eq!(olds, expect, "the k-th lane on an address sees k");
+    for a in 0..4 {
+        assert_eq!(buf.as_slice()[a * 8], 8);
+    }
+    let c = gpu.counters();
+    assert_eq!(c.atomics, 1);
+    assert_eq!(c.gst_requests, 1);
+    assert_eq!(c.gst_transactions, 4);
+}
+
+/// Replays `traces` on one full warp; returns the divergent branches.
+fn divergence_of(traces: &[LaneTrace; WARP_SIZE]) -> u64 {
+    let mut gpu = Gpu::new(GpuSpec::small());
+    one_warp(&mut gpu, |w| w.replay(traces, FULL_MASK));
+    gpu.counters().divergent_branches
+}
+
+#[test]
+fn compute_traces_of_lengths_three_and_five_diverge_once() {
+    let traces: [LaneTrace; WARP_SIZE] = std::array::from_fn(|l| {
+        let mut t = LaneTrace::new();
+        for _ in 0..if l % 2 == 0 { 3 } else { 5 } {
+            t.push(LaneOp::Compute(1));
+        }
+        t
+    });
+    assert_eq!(divergence_of(&traces), 1, "one drop-off point");
+}
+
+#[test]
+fn load_compute_and_rand_at_one_position_diverge_twice() {
+    let traces: [LaneTrace; WARP_SIZE] = std::array::from_fn(|l| {
+        let mut t = LaneTrace::new();
+        t.push(LaneOp::Compute(1));
+        t.push(match l % 3 {
+            0 => LaneOp::GlobalLoad {
+                addr: 0x1000 + l as u64 * 4,
+                bytes: 4,
+            },
+            1 => LaneOp::Compute(2),
+            _ => LaneOp::Rand,
+        });
+        t
+    });
+    assert_eq!(divergence_of(&traces), 2, "three groups serialise");
+}
