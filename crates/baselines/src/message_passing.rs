@@ -14,7 +14,7 @@
 
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::{run_cpu, RunResult, NULL_VERTEX};
-use nextdoor_gpu::lane::{LaneOp, LaneTrace};
+use nextdoor_gpu::lane::{with_lane_traces, LaneOp};
 use nextdoor_gpu::{Gpu, LaunchConfig, WARP_SIZE};
 use nextdoor_graph::{Csr, VertexId};
 
@@ -75,48 +75,48 @@ pub fn run_message_passing(
                     // Build the per-lane trace: the lane's transit serves
                     // `count` samples, each drawing `m` neighbours — all
                     // sequential, all uncoalesced.
-                    let mut traces: [LaneTrace; WARP_SIZE] =
-                        std::array::from_fn(|_| LaneTrace::new());
-                    for l in 0..WARP_SIZE {
-                        if msk & (1 << l) == 0 {
-                            continue;
-                        }
-                        let (v, count) = transits[gid[l].min(total - 1)];
-                        let (start, end) = graph.adjacency_range(v);
-                        let deg = end - start;
-                        for c in 0..count {
-                            for j in 0..m {
-                                // Receive the sample's message (its walker
-                                // state) from the global message queue.
-                                traces[l].push(LaneOp::GlobalLoad {
-                                    addr: 0x7800_0000
-                                        + (gid[l] as u64) * 4096
-                                        + (c as u64 * m as u64 + j as u64) * 16,
-                                    bytes: 8,
-                                });
-                                traces[l].push(LaneOp::Rand);
-                                if deg > 0 {
-                                    // The sampled neighbour's address: spread
-                                    // deterministically over the adjacency.
-                                    let off = (c as usize * 31 + j * 7) % deg;
+                    with_lane_traces(|traces| {
+                        for l in 0..WARP_SIZE {
+                            if msk & (1 << l) == 0 {
+                                continue;
+                            }
+                            let (v, count) = transits[gid[l].min(total - 1)];
+                            let (start, end) = graph.adjacency_range(v);
+                            let deg = end - start;
+                            for c in 0..count {
+                                for j in 0..m {
+                                    // Receive the sample's message (its walker
+                                    // state) from the global message queue.
                                     traces[l].push(LaneOp::GlobalLoad {
-                                        addr: cols_base + ((start + off) as u64) * 4,
+                                        addr: 0x7800_0000
+                                            + (gid[l] as u64) * 4096
+                                            + (c as u64 * m as u64 + j as u64) * 16,
+                                        bytes: 8,
+                                    });
+                                    traces[l].push(LaneOp::Rand);
+                                    if deg > 0 {
+                                        // The sampled neighbour's address: spread
+                                        // deterministically over the adjacency.
+                                        let off = (c as usize * 31 + j * 7) % deg;
+                                        traces[l].push(LaneOp::GlobalLoad {
+                                            addr: cols_base + ((start + off) as u64) * 4,
+                                            bytes: 4,
+                                        });
+                                    }
+                                    // Message send: scattered store of the new
+                                    // vertex into the sample's state.
+                                    traces[l].push(LaneOp::GlobalStore {
+                                        addr: 0x7000_0000
+                                            + (gid[l] as u64) * 4096
+                                            + (c as u64 * m as u64 + j as u64) * 4,
                                         bytes: 4,
                                     });
+                                    traces[l].push(LaneOp::Compute(2));
                                 }
-                                // Message send: scattered store of the new
-                                // vertex into the sample's state.
-                                traces[l].push(LaneOp::GlobalStore {
-                                    addr: 0x7000_0000
-                                        + (gid[l] as u64) * 4096
-                                        + (c as u64 * m as u64 + j as u64) * 4,
-                                    bytes: 4,
-                                });
-                                traces[l].push(LaneOp::Compute(2));
                             }
                         }
-                    }
-                    w.replay(&traces, msk);
+                        w.replay(traces, msk);
+                    });
                 });
             },
         );

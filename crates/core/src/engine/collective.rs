@@ -13,7 +13,7 @@ use crate::api::{EdgeSource, NextCtx, RngStream, NULL_VERTEX};
 use crate::engine::kernels::{StepExec, StepOut};
 use crate::engine::scheduling::SchedulingIndex;
 use nextdoor_gpu::algorithms::exclusive_scan;
-use nextdoor_gpu::lane::LaneTrace;
+use nextdoor_gpu::lane::with_lane_traces;
 use nextdoor_gpu::warp::mask_first_n;
 use nextdoor_gpu::{BlockShards, DeviceBuffer, Gpu, LaunchConfig, SyncSlice, WARP_SIZE};
 use nextdoor_graph::VertexId;
@@ -241,53 +241,54 @@ pub(crate) fn run_collective_next_kernel(
             if valid == 0 {
                 return;
             }
-            let mut traces: [LaneTrace; WARP_SIZE] = std::array::from_fn(|_| LaneTrace::new());
-            let mut vals = [NULL_VERTEX; WARP_SIZE];
-            let mut idxs = [0usize; WARP_SIZE];
-            for l in 0..WARP_SIZE {
-                if valid & (1 << l) == 0 {
-                    continue;
-                }
-                let sample = gid[l] / m;
-                let j = gid[l] % m;
-                let (start, len) = combined.ranges[sample];
-                let view = ex.store.view(sample, ex.plan.step);
-                let (seed, local) = ex.keys.key(sample);
-                let mut ctx = NextCtx {
-                    step: ex.plan.step,
-                    sample_id: local as usize,
-                    slot: j,
-                    graph: ex.graph,
-                    source: EdgeSource::Combined {
-                        vertices: &combined.vertices[start..start + len],
-                        base_addr: combined.device.addr_of(start),
-                    },
-                    transits: &combined.sample_transits[sample],
-                    view: &view,
-                    rng: RngStream::new(seed, local as usize, ex.plan.step, j),
-                    cost: crate::api::EdgeCost::Global,
-                    cached_len: 0,
-                    trace: Some(&mut traces[l]),
-                    graph_cols_base: ex.gg.cols_base(),
-                    new_edges: Vec::new(),
-                };
-                let v = ex.app.next(&mut ctx).unwrap_or(NULL_VERTEX);
-                let es = ctx.take_new_edges();
-                drop(ctx);
-                vals[l] = v;
-                idxs[l] = sample * ex.plan.slots + j;
-                // SAFETY: each `(sample, j)` slot belongs to exactly one
-                // lane of the launch, and each shard is only touched by the
-                // thread executing its block.
-                unsafe {
-                    values.write(idxs[l], v);
-                    if !es.is_empty() {
-                        edge_shards.push(w.block_idx, (sample, es));
+            with_lane_traces(|traces| {
+                let mut vals = [NULL_VERTEX; WARP_SIZE];
+                let mut idxs = [0usize; WARP_SIZE];
+                for l in 0..WARP_SIZE {
+                    if valid & (1 << l) == 0 {
+                        continue;
+                    }
+                    let sample = gid[l] / m;
+                    let j = gid[l] % m;
+                    let (start, len) = combined.ranges[sample];
+                    let view = ex.store.view(sample, ex.plan.step);
+                    let (seed, local) = ex.keys.key(sample);
+                    let mut ctx = NextCtx {
+                        step: ex.plan.step,
+                        sample_id: local as usize,
+                        slot: j,
+                        graph: ex.graph,
+                        source: EdgeSource::Combined {
+                            vertices: &combined.vertices[start..start + len],
+                            base_addr: combined.device.addr_of(start),
+                        },
+                        transits: &combined.sample_transits[sample],
+                        view: &view,
+                        rng: RngStream::new(seed, local as usize, ex.plan.step, j),
+                        cost: crate::api::EdgeCost::Global,
+                        cached_len: 0,
+                        trace: Some(&mut traces[l]),
+                        graph_cols_base: ex.gg.cols_base(),
+                        new_edges: Vec::new(),
+                    };
+                    let v = ex.app.next(&mut ctx).unwrap_or(NULL_VERTEX);
+                    let es = ctx.take_new_edges();
+                    drop(ctx);
+                    vals[l] = v;
+                    idxs[l] = sample * ex.plan.slots + j;
+                    // SAFETY: each `(sample, j)` slot belongs to exactly one
+                    // lane of the launch, and each shard is only touched by the
+                    // thread executing its block.
+                    unsafe {
+                        values.write(idxs[l], v);
+                        if !es.is_empty() {
+                            edge_shards.push(w.block_idx, (sample, es));
+                        }
                     }
                 }
-            }
-            w.replay(&traces, valid);
-            w.st_global(step_buf, &idxs, vals, valid);
+                w.replay(traces, valid);
+                w.st_global(step_buf, &idxs, vals, valid);
+            });
         });
     });
     for (sample, es) in edge_shards.into_ordered() {

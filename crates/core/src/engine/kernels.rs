@@ -11,7 +11,7 @@ use crate::engine::scheduling::SchedulingIndex;
 use crate::engine::{run_next_individual, SampleKeys, StepPlan};
 use crate::gpu_graph::GpuGraph;
 use crate::store::SampleStore;
-use nextdoor_gpu::lane::LaneTrace;
+use nextdoor_gpu::lane::with_lane_traces;
 use nextdoor_gpu::warp::mask_first_n;
 use nextdoor_gpu::{
     BlockShards, DeviceBuffer, Gpu, LaunchConfig, OutOfMemory, SyncSlice, WARP_SIZE,
@@ -167,59 +167,61 @@ fn execute_lanes(
     out_edges: &BlockShards<EdgeAppend>,
     step_buf: &DeviceBuffer<u32>,
 ) {
-    let mut traces: [LaneTrace; WARP_SIZE] = std::array::from_fn(|_| LaneTrace::new());
-    let mut vals = [NULL_VERTEX; WARP_SIZE];
-    let mut idxs = [0usize; WARP_SIZE];
-    let mut mask = 0u32;
-    for l in 0..WARP_SIZE {
-        let Some(lw) = work[l] else { continue };
-        mask |= 1 << l;
-        debug_assert_eq!(
-            ex.plan.transits[lw.sample * ex.plan.tps + lw.tidx],
-            lw.transit,
-            "lane work must agree with the step plan"
-        );
-        let (v, es) = run_next_individual(
-            ex.app,
-            ex.graph,
-            ex.store,
-            ex.plan,
-            lw.sample,
-            lw.tidx,
-            lw.j,
-            ex.keys,
-            cost,
-            lw.cached_len,
-            ex.gg.cols_base(),
-            Some(&mut traces[l]),
-        );
-        vals[l] = v;
-        // The step buffer is sized `num_samples * slots` and every kernel
-        // derives `phys` from an in-range pair position, so an out-of-range
-        // slot means the work plan itself is corrupt — fail loudly rather
-        // than silently merging the store into the last sector.
-        debug_assert!(
-            lw.phys < step_buf.len(),
-            "physical slot {} out of range for step buffer of {} slots",
-            lw.phys,
-            step_buf.len()
-        );
-        idxs[l] = lw.phys;
-        // SAFETY: each `(sample, tidx, j)` slot belongs to exactly one lane
-        // of the launch, and each shard is only touched by the thread
-        // executing its block (see `execute_lanes`' doc).
-        unsafe {
-            out_values.write(ex.out_index(lw.sample, lw.tidx, lw.j), v);
-            if !es.is_empty() {
-                out_edges.push(w.block_idx, (lw.sample, es));
+    with_lane_traces(|traces| {
+        let mut vals = [NULL_VERTEX; WARP_SIZE];
+        let mut idxs = [0usize; WARP_SIZE];
+        let mut mask = 0u32;
+        for l in 0..WARP_SIZE {
+            let Some(lw) = work[l] else { continue };
+            mask |= 1 << l;
+            debug_assert_eq!(
+                ex.plan.transits[lw.sample * ex.plan.tps + lw.tidx],
+                lw.transit,
+                "lane work must agree with the step plan"
+            );
+            let (v, es) = run_next_individual(
+                ex.app,
+                ex.graph,
+                ex.store,
+                ex.plan,
+                lw.sample,
+                lw.tidx,
+                lw.j,
+                ex.keys,
+                cost,
+                lw.cached_len,
+                ex.gg.cols_base(),
+                Some(&mut traces[l]),
+            );
+            vals[l] = v;
+            // The step buffer is sized `num_samples * slots` and every
+            // kernel derives `phys` from an in-range pair position, so an
+            // out-of-range slot means the work plan itself is corrupt —
+            // fail loudly rather than silently merging the store into the
+            // last sector.
+            debug_assert!(
+                lw.phys < step_buf.len(),
+                "physical slot {} out of range for step buffer of {} slots",
+                lw.phys,
+                step_buf.len()
+            );
+            idxs[l] = lw.phys;
+            // SAFETY: each `(sample, tidx, j)` slot belongs to exactly one
+            // lane of the launch, and each shard is only touched by the
+            // thread executing its block (see `execute_lanes`' doc).
+            unsafe {
+                out_values.write(ex.out_index(lw.sample, lw.tidx, lw.j), v);
+                if !es.is_empty() {
+                    out_edges.push(w.block_idx, (lw.sample, es));
+                }
             }
         }
-    }
-    if mask == 0 {
-        return;
-    }
-    w.replay(&traces, mask);
-    w.st_global(step_buf, &idxs, vals, mask);
+        if mask == 0 {
+            return;
+        }
+        w.replay(traces, mask);
+        w.st_global(step_buf, &idxs, vals, mask);
+    })
 }
 
 /// The sub-warp kernel (Table 2, row 3): several transits per warp, each

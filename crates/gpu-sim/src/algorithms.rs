@@ -304,17 +304,28 @@ fn radix_pass(
                     bases[tid[l]] = b[l];
                 }
             });
-            // Resolve destinations with stable ranks.
+            // Resolve destinations with stable ranks, and the order of
+            // emission: by digit, then rank (the staged order), so that the
+            // warp-level stores hit consecutive destinations. Destinations
+            // ascend in (digit, rank), so placing element `i` at its digit's
+            // tile-local offset plus its rank is the sort by destination.
             let mut running = [0u32; RADIX];
-            for slot in &mut dest {
+            let mut offset = [0usize; RADIX];
+            for d in 1..RADIX {
+                offset[d] = offset[d - 1] + local_count[d - 1] as usize;
+            }
+            let mut order = vec![0usize; tile_len];
+            for (i, slot) in dest.iter_mut().enumerate() {
                 let d = *slot;
-                *slot = (bases[d] + running[d]) as usize;
+                let rank = running[d];
+                *slot = (bases[d] + rank) as usize;
+                order[offset[d] + rank as usize] = i;
                 running[d] += 1;
             }
-            // Order of emission: by digit (the staged order), so that the
-            // warp-level stores hit consecutive destinations.
-            let mut order: Vec<usize> = (0..tile_len).collect();
-            order.sort_by_key(|&i| dest[i]);
+            debug_assert!(
+                order.windows(2).all(|p| dest[p[0]] < dest[p[1]]),
+                "emission order must be the sort by destination"
+            );
             blk.for_each_warp(|w| {
                 let items = RADIX_TILE / SCAN_BLOCK;
                 for it in 0..items {
@@ -470,9 +481,38 @@ pub fn bitonic_sort_shared(blk: &mut BlockCtx<'_>, arr: SharedArray, n: usize) {
 mod tests {
     use super::*;
     use crate::spec::GpuSpec;
+    use proptest::prelude::*;
 
     fn gpu() -> Gpu {
         Gpu::new(GpuSpec::small())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// Up to three tiles, keys needing 1 to 4 digit passes; the radix
+        /// scatter also asserts (in debug builds) that each tile emits in
+        /// destination order.
+        #[test]
+        fn radix_sort_matches_a_stable_sort(
+            n in 0usize..=3 * RADIX_TILE,
+            passes in 1u32..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let lo = if passes == 1 { 0 } else { 1u64 << (8 * (passes - 1)) };
+            let max_key = (lo + seed % ((1u64 << (8 * passes)) - lo)) as u32;
+            let keys: Vec<u32> = (0..n as u64)
+                .map(|i| (crate::rng::rand_u32(seed, i, 0) as u64 % (max_key as u64 + 1)) as u32)
+                .collect();
+            let vals: Vec<u32> = (0..n as u32).collect();
+            let mut g = gpu();
+            let (kd, vd) = (g.to_device(&keys), g.to_device(&vals));
+            let (sk, sv) = radix_sort_pairs(&mut g, &kd, &vd, max_key);
+            let mut expect: Vec<(u32, u32)> = keys.into_iter().zip(vals).collect();
+            expect.sort_by_key(|&(k, _)| k);
+            let got: Vec<(u32, u32)> = sk.as_slice().iter().copied().zip(sv.as_slice().iter().copied()).collect();
+            prop_assert_eq!(got, expect);
+        }
     }
 
     #[test]

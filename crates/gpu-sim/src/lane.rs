@@ -9,7 +9,9 @@
 //! charging divergence where they do not — which is precisely how lock-step
 //! SIMT hardware behaves.
 
-use crate::warp::{SectorSet, WarpCtx, WARP_SIZE};
+use std::cell::RefCell;
+
+use crate::warp::{lanes, sector_span, SpanUnion, WarpCtx, WARP_SIZE};
 
 /// One operation performed by a single lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,122 +97,131 @@ impl LaneTrace {
     }
 }
 
+thread_local! {
+    /// One set of 32 lane traces per host thread. The launch pool's workers
+    /// persist across launches, so after the first few warps every trace
+    /// records into capacity it already owns.
+    static LANE_TRACES: RefCell<[LaneTrace; WARP_SIZE]> =
+        RefCell::new(std::array::from_fn(|_| LaneTrace::new()));
+}
+
+/// Runs `f` on 32 empty lane traces owned by the calling host thread, for
+/// a kernel to record one warp's per-lane code into and pass to
+/// [`WarpCtx::replay`]. The traces are cleared, not freed, between warps.
+/// A nested call on the same thread gets fresh traces.
+pub fn with_lane_traces<R>(f: impl FnOnce(&mut [LaneTrace; WARP_SIZE]) -> R) -> R {
+    LANE_TRACES.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut traces) => {
+            traces.iter_mut().for_each(LaneTrace::clear);
+            f(&mut traces)
+        }
+        Err(_) => f(&mut std::array::from_fn(|_| LaneTrace::new())),
+    })
+}
+
 /// Replays 32 lane traces in lock-step against `warp`, charging coalesced
 /// memory transactions, compute cycles and divergence.
+///
+/// One pass per trace position visits each lane still running once,
+/// gathering every op kind's charge together; the charges are then applied
+/// in a fixed order (drop-off divergence, kind divergence, then kinds 0 to
+/// 6), so the floating-point cycle sums do not depend on how lanes are
+/// visited.
 pub(crate) fn replay_traces(warp: &mut WarpCtx<'_>, traces: &[LaneTrace; WARP_SIZE], mask: u32) {
-    let max_len = (0..WARP_SIZE)
-        .filter(|l| mask & (1 << l) != 0)
-        .map(|l| traces[l].len())
-        .max()
-        .unwrap_or(0);
+    let mut running = 0u32;
+    for l in lanes(mask) {
+        if !traces[l].is_empty() {
+            running |= 1 << l;
+        }
+    }
     let mut lanes_alive_prev = mask.count_ones();
-    for pos in 0..max_len {
-        // Collect the ops of lanes still alive at this position.
-        let mut kinds_present = [false; 7];
-        let mut lanes_alive = 0u32;
-        for l in 0..WARP_SIZE {
-            if mask & (1 << l) != 0 && pos < traces[l].len() {
-                kinds_present[traces[l].ops[pos].kind() as usize] = true;
-                lanes_alive += 1;
+    let mut pos = 0;
+    while running != 0 {
+        let mut kinds = 0u8;
+        let (mut loads, mut stores) = (SpanUnion::default(), SpanUnion::default());
+        let (mut load_bytes, mut store_bytes) = (0u64, 0u64);
+        let (mut max_n, mut draws) = (0u16, 0u64);
+        let alive = running;
+        for l in lanes(alive) {
+            let op = traces[l].ops[pos];
+            kinds |= 1 << op.kind();
+            match op {
+                LaneOp::GlobalLoad { addr, bytes } => {
+                    loads.insert(sector_span(addr, bytes as u64));
+                    load_bytes += bytes as u64;
+                }
+                LaneOp::GlobalStore { addr, bytes } => {
+                    stores.insert(sector_span(addr, bytes as u64));
+                    store_bytes += bytes as u64;
+                }
+                LaneOp::Compute(n) => max_n = max_n.max(n),
+                LaneOp::Rand => draws += 1,
+                LaneOp::SharedLoad | LaneOp::SharedStore | LaneOp::Shfl => {}
+            }
+            if traces[l].len() == pos + 1 {
+                running &= !(1 << l);
             }
         }
         // Lanes that ran out of ops while others continue: one divergence
         // event per drop-off point.
+        let lanes_alive = alive.count_ones();
         if lanes_alive < lanes_alive_prev {
             warp.charge_divergence(2);
             lanes_alive_prev = lanes_alive;
         }
-        let groups = kinds_present.iter().filter(|&&k| k).count() as u64;
-        warp.charge_divergence(groups);
-        // Charge each serialised group.
-        for kind in 0..7u8 {
-            if !kinds_present[kind as usize] {
-                continue;
-            }
-            match kind {
-                0 | 1 => {
-                    // Global load/store group: coalesce across lanes.
-                    let mut sectors = SectorSet::new();
-                    let mut active = 0u64;
-                    let mut bytes_req = 0u64;
-                    for (l, trace) in traces.iter().enumerate() {
-                        if mask & (1 << l) == 0 || pos >= trace.len() {
-                            continue;
-                        }
-                        match trace.ops[pos] {
-                            LaneOp::GlobalLoad { addr, bytes } if kind == 0 => {
-                                sectors.insert_range(addr, bytes as u64);
-                                bytes_req += bytes as u64;
-                                active += 1;
-                            }
-                            LaneOp::GlobalStore { addr, bytes } if kind == 1 => {
-                                sectors.insert_range(addr, bytes as u64);
-                                bytes_req += bytes as u64;
-                                active += 1;
-                            }
-                            _ => {}
-                        }
-                    }
-                    if active == 0 {
-                        continue;
-                    }
-                    let tx = sectors.count();
-                    let c = &mut warp.stats.counters;
-                    if kind == 0 {
-                        c.gld_requests += 1;
-                        c.gld_transactions += tx;
-                        c.gld_bytes_requested += bytes_req;
-                    } else {
-                        c.gst_requests += 1;
-                        c.gst_transactions += tx;
-                        c.gst_bytes_requested += bytes_req;
-                    }
-                    warp.stats.mem_bw_cycles += tx as f64 * warp.cost.global_tx_cycles;
-                    warp.stats.mem_requests += 1;
+        warp.charge_divergence(kinds.count_ones() as u64);
+        // Charge each serialised group; a global load/store group coalesces
+        // across its lanes.
+        let spans_of = |kind: u8| {
+            lanes(alive).filter_map(move |l| match traces[l].ops[pos] {
+                LaneOp::GlobalLoad { addr, bytes } if kind == 0 => {
+                    Some(sector_span(addr, bytes as u64))
                 }
-                2 => {
-                    warp.stats.counters.shared_loads += 1;
-                    warp.stats.pipeline_cycles += warp.cost.shared_cycles;
+                LaneOp::GlobalStore { addr, bytes } if kind == 1 => {
+                    Some(sector_span(addr, bytes as u64))
                 }
-                3 => {
-                    warp.stats.counters.shared_stores += 1;
-                    warp.stats.pipeline_cycles += warp.cost.shared_cycles;
-                }
-                4 => {
-                    warp.stats.counters.shuffles += 1;
-                    warp.stats.pipeline_cycles += warp.cost.shfl_cycles;
-                }
-                5 => {
-                    // Compute group: SIMT executes the widest lane's count.
-                    let mut max_n = 0u16;
-                    let mut draws = 0u64;
-                    for (l, trace) in traces.iter().enumerate() {
-                        if mask & (1 << l) != 0 && pos < trace.len() {
-                            if let LaneOp::Compute(n) = trace.ops[pos] {
-                                max_n = max_n.max(n);
-                                draws += 1;
-                            }
-                        }
-                    }
-                    let _ = draws;
-                    warp.charge_compute(max_n as u64);
-                }
-                6 => {
-                    let mut draws = 0u64;
-                    for (l, trace) in traces.iter().enumerate() {
-                        if mask & (1 << l) != 0
-                            && pos < trace.len()
-                            && matches!(trace.ops[pos], LaneOp::Rand)
-                        {
-                            draws += 1;
-                        }
-                    }
-                    warp.stats.counters.rand_draws += draws;
-                    warp.stats.pipeline_cycles += warp.cost.rand_cycles;
-                }
-                _ => unreachable!(),
-            }
+                _ => None,
+            })
+        };
+        if kinds & 1 != 0 {
+            let tx = loads.count_or(|| spans_of(0));
+            let c = &mut warp.stats.counters;
+            c.gld_requests += 1;
+            c.gld_transactions += tx;
+            c.gld_bytes_requested += load_bytes;
+            warp.stats.mem_bw_cycles += tx as f64 * warp.cost.global_tx_cycles;
+            warp.stats.mem_requests += 1;
         }
+        if kinds & 2 != 0 {
+            let tx = stores.count_or(|| spans_of(1));
+            let c = &mut warp.stats.counters;
+            c.gst_requests += 1;
+            c.gst_transactions += tx;
+            c.gst_bytes_requested += store_bytes;
+            warp.stats.mem_bw_cycles += tx as f64 * warp.cost.global_tx_cycles;
+            warp.stats.mem_requests += 1;
+        }
+        if kinds & 4 != 0 {
+            warp.stats.counters.shared_loads += 1;
+            warp.stats.pipeline_cycles += warp.cost.shared_cycles;
+        }
+        if kinds & 8 != 0 {
+            warp.stats.counters.shared_stores += 1;
+            warp.stats.pipeline_cycles += warp.cost.shared_cycles;
+        }
+        if kinds & 16 != 0 {
+            warp.stats.counters.shuffles += 1;
+            warp.stats.pipeline_cycles += warp.cost.shfl_cycles;
+        }
+        if kinds & 32 != 0 {
+            // Compute group: SIMT executes the widest lane's count.
+            warp.charge_compute(max_n as u64);
+        }
+        if kinds & 64 != 0 {
+            warp.stats.counters.rand_draws += draws;
+            warp.stats.pipeline_cycles += warp.cost.rand_cycles;
+        }
+        pos += 1;
     }
 }
 

@@ -70,6 +70,8 @@ pub mod lane;
 pub mod launch;
 pub mod mem;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod rng;
 pub mod sched;
 pub mod spec;

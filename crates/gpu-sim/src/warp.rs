@@ -182,16 +182,14 @@ impl<'a> WarpCtx<'a> {
             return out;
         }
         let elem = std::mem::size_of::<T>() as u64;
-        let mut sectors = SectorSet::new();
-        let mut active = 0u64;
-        for l in 0..WARP_SIZE {
-            if mask & (1 << l) != 0 {
-                out[l] = buf.read(idxs[l]);
-                sectors.insert_range(buf.addr_of(idxs[l]), elem);
-                active += 1;
-            }
+        let span = |l: usize| sector_span(buf.addr_of(idxs[l]), elem);
+        let mut sectors = SpanUnion::default();
+        for l in lanes(mask) {
+            out[l] = buf.read(idxs[l]);
+            sectors.insert(span(l));
         }
-        let tx = sectors.count();
+        let tx = sectors.count_or(|| lanes(mask).map(span));
+        let active = mask.count_ones() as u64;
         let c = &mut self.stats.counters;
         c.gld_requests += 1;
         c.gld_transactions += tx;
@@ -223,16 +221,14 @@ impl<'a> WarpCtx<'a> {
             return;
         }
         let elem = std::mem::size_of::<T>() as u64;
-        let mut sectors = SectorSet::new();
-        let mut active = 0u64;
-        for l in 0..WARP_SIZE {
-            if mask & (1 << l) != 0 {
-                buf.write(idxs[l], vals[l]);
-                sectors.insert_range(buf.addr_of(idxs[l]), elem);
-                active += 1;
-            }
+        let span = |l: usize| sector_span(buf.addr_of(idxs[l]), elem);
+        let mut sectors = SpanUnion::default();
+        for l in lanes(mask) {
+            buf.write(idxs[l], vals[l]);
+            sectors.insert(span(l));
         }
-        let tx = sectors.count();
+        let tx = sectors.count_or(|| lanes(mask).map(span));
+        let active = mask.count_ones() as u64;
         let c = &mut self.stats.counters;
         c.gst_requests += 1;
         c.gst_transactions += tx;
@@ -260,25 +256,20 @@ impl<'a> WarpCtx<'a> {
             return out;
         }
         let elem = std::mem::size_of::<u32>() as u64;
-        let mut sectors = SectorSet::new();
-        let mut active = 0u64;
-        // Serialisation penalty: conflicting lanes replay the atomic.
-        let mut conflicts = 0u64;
-        let mut seen: Vec<usize> = Vec::new();
-        for l in 0..WARP_SIZE {
-            if mask & (1 << l) != 0 {
-                let i = idxs[l];
-                out[l] = buf.atomic_add(i, vals[l]);
-                sectors.insert_range(buf.addr_of(i), elem);
-                if seen.contains(&i) {
-                    conflicts += 1;
-                } else {
-                    seen.push(i);
-                }
-                active += 1;
-            }
+        let span = |l: usize| sector_span(buf.addr_of(idxs[l]), elem);
+        let index = |l: usize| (idxs[l] as u64, idxs[l] as u64);
+        let mut sectors = SpanUnion::default();
+        let mut indices = SpanUnion::default();
+        for l in lanes(mask) {
+            out[l] = buf.atomic_add(idxs[l], vals[l]);
+            sectors.insert(span(l));
+            indices.insert(index(l));
         }
-        let tx = sectors.count();
+        let tx = sectors.count_or(|| lanes(mask).map(span));
+        let active = mask.count_ones() as u64;
+        // Serialisation penalty: every lane after the first on an address
+        // replays the atomic.
+        let conflicts = active - indices.count_or(|| lanes(mask).map(index));
         let c = &mut self.stats.counters;
         c.atomics += 1;
         c.gst_requests += 1;
@@ -399,32 +390,88 @@ impl<'a> WarpCtx<'a> {
     }
 }
 
-/// A small set of 32-byte sector ids. A warp touches at most a few dozen
-/// sectors per operation, so a linear-probe vector beats a hash set.
-pub(crate) struct SectorSet {
-    sectors: Vec<u64>,
+/// The lanes set in `mask`, in ascending lane order.
+pub(crate) fn lanes(mask: Mask) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let l = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            l
+        })
+    })
 }
 
-impl SectorSet {
-    pub(crate) fn new() -> Self {
-        SectorSet {
-            sectors: Vec::with_capacity(WARP_SIZE),
-        }
-    }
+/// First and last 32-byte sector overlapped by `[addr, addr + bytes)`; an
+/// empty access still touches the sector holding `addr`.
+#[inline]
+pub(crate) fn sector_span(addr: u64, bytes: u64) -> (u64, u64) {
+    (
+        addr / SECTOR_BYTES,
+        (addr + bytes.max(1) - 1) / SECTOR_BYTES,
+    )
+}
 
-    /// Inserts every sector overlapped by `[addr, addr + bytes)`.
-    pub(crate) fn insert_range(&mut self, addr: u64, bytes: u64) {
-        let first = addr / SECTOR_BYTES;
-        let last = (addr + bytes.max(1) - 1) / SECTOR_BYTES;
-        for s in first..=last {
-            if !self.sectors.contains(&s) {
-                self.sectors.push(s);
+/// Counts the integers covered by up to [`WARP_SIZE`] inclusive spans —
+/// the distinct sectors of one warp memory operation (one span per lane),
+/// or the distinct indices of an atomic (`(i, i)` per lane).
+///
+/// Lanes mostly address ascending memory, so while the spans' starts do
+/// not decrease the union is kept as a running count plus the highest
+/// covered value: O(1) per lane, nothing stored. The first span starting
+/// below its predecessor abandons the running count; [`SpanUnion::count_or`]
+/// then recounts exactly from the caller's spans on a stack array.
+#[derive(Default)]
+pub(crate) struct SpanUnion {
+    count: u64,
+    start: u64,
+    end: u64,
+    unordered: bool,
+}
+
+impl SpanUnion {
+    /// Adds the span `first..=last`.
+    #[inline]
+    pub(crate) fn insert(&mut self, (first, last): (u64, u64)) {
+        if self.count == 0 {
+            (self.count, self.start, self.end) = (last - first + 1, first, last);
+        } else if first < self.start {
+            self.unordered = true;
+        } else {
+            self.start = first;
+            if first > self.end {
+                self.count += last - first + 1;
+                self.end = last;
+            } else if last > self.end {
+                self.count += last - self.end;
+                self.end = last;
             }
         }
     }
 
-    pub(crate) fn count(&self) -> u64 {
-        self.sectors.len() as u64
+    /// The size of the union. If the spans arrived out of order, `spans`
+    /// must yield the same spans again; they are sorted on the stack and
+    /// merged.
+    #[inline]
+    pub(crate) fn count_or<I: Iterator<Item = (u64, u64)>>(
+        &self,
+        spans: impl FnOnce() -> I,
+    ) -> u64 {
+        if !self.unordered {
+            return self.count;
+        }
+        let mut sorted = [(0u64, 0u64); WARP_SIZE];
+        let mut n = 0;
+        for s in spans() {
+            sorted[n] = s;
+            n += 1;
+        }
+        sorted[..n].sort_unstable();
+        let mut union = SpanUnion::default();
+        for &s in &sorted[..n] {
+            union.insert(s);
+        }
+        union.count
     }
 }
 
@@ -446,16 +493,29 @@ mod tests {
     }
 
     #[test]
-    fn sector_set_counts_unique_sectors() {
-        let mut s = SectorSet::new();
-        s.insert_range(0, 4);
-        s.insert_range(4, 4);
-        assert_eq!(s.count(), 1, "same sector");
-        s.insert_range(32, 4);
-        assert_eq!(s.count(), 2);
-        s.insert_range(30, 4); // straddles sectors 0 and 1
-        assert_eq!(s.count(), 2);
-        s.insert_range(1000, 4);
-        assert_eq!(s.count(), 3);
+    fn span_union_counts_unique_sectors() {
+        let spans = [
+            sector_span(0, 4),
+            sector_span(4, 4),
+            sector_span(32, 4),
+            sector_span(30, 4), // straddles sectors 0 and 1
+            sector_span(1000, 4),
+        ];
+        let count = |n: usize| {
+            let mut u = SpanUnion::default();
+            spans[..n].iter().for_each(|&s| u.insert(s));
+            u.count_or(|| spans[..n].iter().copied())
+        };
+        assert_eq!(count(2), 1, "same sector");
+        assert_eq!(count(3), 2);
+        assert_eq!(count(4), 2, "out of order: the exact recount");
+        assert_eq!(count(5), 3);
+    }
+
+    #[test]
+    fn lanes_iterates_set_bits_in_order() {
+        assert_eq!(lanes(0).count(), 0);
+        assert_eq!(lanes(0b1010_0001).collect::<Vec<_>>(), vec![0, 5, 7]);
+        assert_eq!(lanes(FULL_MASK).count(), WARP_SIZE);
     }
 }

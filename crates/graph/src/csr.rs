@@ -22,9 +22,35 @@ pub struct Csr {
     row_offsets: Vec<usize>,
     col_indices: Vec<VertexId>,
     weights: Option<Vec<f32>>,
+    /// Per-vertex maximum edge weight, built with `weights`.
+    max_weights: Option<Vec<f32>>,
 }
 
 impl Csr {
+    /// Assembles a graph from parts already known to be valid, building the
+    /// per-vertex maximum-weight table. Every constructor ends here.
+    fn assemble(
+        row_offsets: Vec<usize>,
+        col_indices: Vec<VertexId>,
+        weights: Option<Vec<f32>>,
+    ) -> Self {
+        let max_weights = weights.as_ref().map(|ws| {
+            row_offsets
+                .windows(2)
+                .map(|r| match &ws[r[0]..r[1]] {
+                    [] => 1.0,
+                    row => row.iter().cloned().fold(f32::MIN, f32::max),
+                })
+                .collect()
+        });
+        Self {
+            row_offsets,
+            col_indices,
+            weights,
+            max_weights,
+        }
+    }
+
     /// Creates a CSR graph from raw parts.
     ///
     /// # Panics
@@ -61,20 +87,12 @@ impl Csr {
         if let Some(ws) = &weights {
             assert_eq!(ws.len(), col_indices.len(), "weights length mismatch");
         }
-        Self {
-            row_offsets,
-            col_indices,
-            weights,
-        }
+        Self::assemble(row_offsets, col_indices, weights)
     }
 
     /// Creates an empty graph with `n` vertices and no edges.
     pub fn empty(n: usize) -> Self {
-        Self {
-            row_offsets: vec![0; n + 1],
-            col_indices: Vec::new(),
-            weights: None,
-        }
+        Self::assemble(vec![0; n + 1], Vec::new(), None)
     }
 
     /// Number of vertices.
@@ -166,12 +184,17 @@ impl Csr {
     /// graph or an isolated vertex.
     ///
     /// Mirrors the `maxEdgeWeight` utility of the paper's `Vertex` class,
-    /// used by rejection sampling in node2vec.
+    /// used as the rejection bound of weight-biased walks. O(1): it reads a
+    /// per-vertex table built with the graph.
+    #[inline]
     pub fn max_edge_weight(&self, v: VertexId) -> f32 {
-        match self.edge_weights(v) {
-            Some(ws) if !ws.is_empty() => ws.iter().cloned().fold(f32::MIN, f32::max),
-            _ => 1.0,
-        }
+        self.max_weights.as_ref().map_or(1.0, |m| m[v as usize])
+    }
+
+    /// The per-vertex [`Csr::max_edge_weight`] table, if the graph is
+    /// weighted.
+    pub fn max_edge_weights(&self) -> Option<&[f32]> {
+        self.max_weights.as_deref()
     }
 
     /// Inclusive prefix sums of `v`'s edge weights.
@@ -219,21 +242,16 @@ impl Csr {
                 lo + (h >> 40) as f32 / (1u64 << 24) as f32 * (hi - lo)
             })
             .collect();
-        Self {
-            row_offsets: self.row_offsets.clone(),
-            col_indices: self.col_indices.clone(),
-            weights: Some(ws),
-        }
+        Self::assemble(self.row_offsets.clone(), self.col_indices.clone(), Some(ws))
     }
 
-    /// Approximate resident size of the graph in bytes (CSR arrays only).
+    /// Approximate resident size of the graph in bytes: the CSR arrays and
+    /// the maximum-weight table.
     pub fn size_bytes(&self) -> usize {
+        let floats = |w: &Option<Vec<f32>>| w.as_ref().map_or(0, |w| w.len());
         self.row_offsets.len() * std::mem::size_of::<usize>()
             + self.col_indices.len() * std::mem::size_of::<VertexId>()
-            + self
-                .weights
-                .as_ref()
-                .map_or(0, |w| w.len() * std::mem::size_of::<f32>())
+            + (floats(&self.weights) + floats(&self.max_weights)) * std::mem::size_of::<f32>()
     }
 
     /// Returns a copy of this graph in the **same vertex-id space** that
@@ -272,11 +290,7 @@ impl Csr {
             }
             offsets.push(cols.len());
         }
-        Csr {
-            row_offsets: offsets,
-            col_indices: cols,
-            weights: ws,
-        }
+        Self::assemble(offsets, cols, ws)
     }
 
     /// Returns the induced subgraph on `vertices` together with the mapping
@@ -437,7 +451,8 @@ mod tests {
         let g = diamond();
         let base = g.size_bytes();
         let gw = g.with_random_weights(1.0, 5.0, 1);
-        assert_eq!(gw.size_bytes(), base + 4 * std::mem::size_of::<f32>());
+        // 4 edge weights plus the 4-vertex maximum-weight table.
+        assert_eq!(gw.size_bytes(), base + (4 + 4) * std::mem::size_of::<f32>());
     }
 
     #[test]
