@@ -263,7 +263,8 @@ impl<'a> NextCtx<'a> {
     /// Served from a precomputed per-vertex table: a global load under
     /// sample-parallel execution, but staged alongside the cached adjacency
     /// under transit-parallel execution (the engine loads it with the
-    /// transit's metadata).
+    /// transit's metadata). The host reads the same table, built with the
+    /// graph ([`Csr::max_edge_weight`]), in O(1).
     pub fn max_edge_weight(&mut self, v: VertexId) -> f32 {
         match self.cost {
             EdgeCost::Global => self.record(LaneOp::GlobalLoad {

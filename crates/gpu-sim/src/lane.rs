@@ -11,7 +11,7 @@
 
 use std::cell::RefCell;
 
-use crate::warp::{lanes, sector_span, SpanUnion, WarpCtx, WARP_SIZE};
+use crate::warp::{lanes, sector_span, union_size, SpanUnion, WarpCtx, WARP_SIZE};
 
 /// One operation performed by a single lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,10 +135,15 @@ pub(crate) fn replay_traces(warp: &mut WarpCtx<'_>, traces: &[LaneTrace; WARP_SI
         }
     }
     let mut lanes_alive_prev = mask.count_ones();
+    // The position's load and store sector spans, kept for an exact recount
+    // when they arrive out of order.
+    let mut load_spans = [(0u64, 0u64); WARP_SIZE];
+    let mut store_spans = [(0u64, 0u64); WARP_SIZE];
     let mut pos = 0;
     while running != 0 {
         let mut kinds = 0u8;
         let (mut loads, mut stores) = (SpanUnion::default(), SpanUnion::default());
+        let (mut num_loads, mut num_stores) = (0, 0);
         let (mut load_bytes, mut store_bytes) = (0u64, 0u64);
         let (mut max_n, mut draws) = (0u16, 0u64);
         let alive = running;
@@ -147,11 +152,17 @@ pub(crate) fn replay_traces(warp: &mut WarpCtx<'_>, traces: &[LaneTrace; WARP_SI
             kinds |= 1 << op.kind();
             match op {
                 LaneOp::GlobalLoad { addr, bytes } => {
-                    loads.insert(sector_span(addr, bytes as u64));
+                    let span = sector_span(addr, bytes as u64);
+                    loads.insert(span);
+                    load_spans[num_loads] = span;
+                    num_loads += 1;
                     load_bytes += bytes as u64;
                 }
                 LaneOp::GlobalStore { addr, bytes } => {
-                    stores.insert(sector_span(addr, bytes as u64));
+                    let span = sector_span(addr, bytes as u64);
+                    stores.insert(span);
+                    store_spans[num_stores] = span;
+                    num_stores += 1;
                     store_bytes += bytes as u64;
                 }
                 LaneOp::Compute(n) => max_n = max_n.max(n),
@@ -172,19 +183,10 @@ pub(crate) fn replay_traces(warp: &mut WarpCtx<'_>, traces: &[LaneTrace; WARP_SI
         warp.charge_divergence(kinds.count_ones() as u64);
         // Charge each serialised group; a global load/store group coalesces
         // across its lanes.
-        let spans_of = |kind: u8| {
-            lanes(alive).filter_map(move |l| match traces[l].ops[pos] {
-                LaneOp::GlobalLoad { addr, bytes } if kind == 0 => {
-                    Some(sector_span(addr, bytes as u64))
-                }
-                LaneOp::GlobalStore { addr, bytes } if kind == 1 => {
-                    Some(sector_span(addr, bytes as u64))
-                }
-                _ => None,
-            })
-        };
         if kinds & 1 != 0 {
-            let tx = loads.count_or(|| spans_of(0));
+            let tx = loads
+                .ascending()
+                .unwrap_or_else(|| union_size(&mut load_spans[..num_loads]));
             let c = &mut warp.stats.counters;
             c.gld_requests += 1;
             c.gld_transactions += tx;
@@ -193,7 +195,9 @@ pub(crate) fn replay_traces(warp: &mut WarpCtx<'_>, traces: &[LaneTrace; WARP_SI
             warp.stats.mem_requests += 1;
         }
         if kinds & 2 != 0 {
-            let tx = stores.count_or(|| spans_of(1));
+            let tx = stores
+                .ascending()
+                .unwrap_or_else(|| union_size(&mut store_spans[..num_stores]));
             let c = &mut warp.stats.counters;
             c.gst_requests += 1;
             c.gst_transactions += tx;

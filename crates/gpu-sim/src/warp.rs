@@ -419,8 +419,8 @@ pub(crate) fn sector_span(addr: u64, bytes: u64) -> (u64, u64) {
 /// Lanes mostly address ascending memory, so while the spans' starts do
 /// not decrease the union is kept as a running count plus the highest
 /// covered value: O(1) per lane, nothing stored. The first span starting
-/// below its predecessor abandons the running count; [`SpanUnion::count_or`]
-/// then recounts exactly from the caller's spans on a stack array.
+/// below its predecessor abandons the running count, and the caller
+/// recounts exactly with [`union_size`].
 #[derive(Default)]
 pub(crate) struct SpanUnion {
     count: u64,
@@ -449,30 +449,64 @@ impl SpanUnion {
         }
     }
 
+    /// The size of the union, if every span started at or above the one
+    /// before it.
+    #[inline]
+    pub(crate) fn ascending(&self) -> Option<u64> {
+        (!self.unordered).then_some(self.count)
+    }
+
     /// The size of the union. If the spans arrived out of order, `spans`
-    /// must yield the same spans again; they are sorted on the stack and
-    /// merged.
+    /// must yield the same spans again for an exact [`union_size`] on a
+    /// stack array.
     #[inline]
     pub(crate) fn count_or<I: Iterator<Item = (u64, u64)>>(
         &self,
         spans: impl FnOnce() -> I,
     ) -> u64 {
-        if !self.unordered {
-            return self.count;
-        }
-        let mut sorted = [(0u64, 0u64); WARP_SIZE];
-        let mut n = 0;
-        for s in spans() {
-            sorted[n] = s;
-            n += 1;
-        }
-        sorted[..n].sort_unstable();
-        let mut union = SpanUnion::default();
-        for &s in &sorted[..n] {
-            union.insert(s);
-        }
-        union.count
+        self.ascending().unwrap_or_else(|| {
+            let mut buf = [(0u64, 0u64); WARP_SIZE];
+            let mut n = 0;
+            for s in spans() {
+                buf[n] = s;
+                n += 1;
+            }
+            union_size(&mut buf[..n])
+        })
     }
+}
+
+/// The number of integers covered by `spans`, in any order; may reorder
+/// them. Spans of one value each, the usual case, are counted in an
+/// open-addressing set on the stack, at most half full; wider spans are
+/// sorted and merged.
+pub(crate) fn union_size(spans: &mut [(u64, u64)]) -> u64 {
+    debug_assert!(spans.len() <= WARP_SIZE);
+    if spans.iter().all(|&(first, last)| first == last) {
+        const SLOTS: usize = 2 * WARP_SIZE;
+        // Sector ids and buffer indices never reach `u64::MAX`.
+        const EMPTY: u64 = u64::MAX;
+        let mut table = [EMPTY; SLOTS];
+        let mut distinct = 0;
+        for &(v, _) in spans.iter() {
+            // Fibonacci hashing: the product's top bits pick the slot.
+            let mut i =
+                (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOTS.trailing_zeros())) as usize;
+            while table[i] != v {
+                if table[i] == EMPTY {
+                    table[i] = v;
+                    distinct += 1;
+                    break;
+                }
+                i = (i + 1) % SLOTS;
+            }
+        }
+        return distinct;
+    }
+    spans.sort_unstable();
+    let mut union = SpanUnion::default();
+    spans.iter().for_each(|&s| union.insert(s));
+    union.count
 }
 
 #[cfg(test)]
@@ -510,6 +544,8 @@ mod tests {
         assert_eq!(count(3), 2);
         assert_eq!(count(4), 2, "out of order: the exact recount");
         assert_eq!(count(5), 3);
+        let mut points = [9, 3, 9, 5, 3].map(|v| (v, v));
+        assert_eq!(union_size(&mut points), 3, "one-value spans: the hash set");
     }
 
     #[test]
