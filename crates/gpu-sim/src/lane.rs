@@ -11,7 +11,7 @@
 
 use std::cell::RefCell;
 
-use crate::warp::{lanes, sector_span, union_size, SpanUnion, WarpCtx, WARP_SIZE};
+use crate::warp::{lanes, sector_span, SpanUnion, WarpCtx, WARP_SIZE};
 
 /// One operation performed by a single lane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,7 +45,7 @@ pub enum LaneOp {
 impl LaneOp {
     /// Discriminant used for divergence grouping: lanes at the same trace
     /// position executing different kinds of operation must serialise.
-    fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             LaneOp::GlobalLoad { .. } => 0,
             LaneOp::GlobalStore { .. } => 1,
@@ -184,26 +184,12 @@ pub(crate) fn replay_traces(warp: &mut WarpCtx<'_>, traces: &[LaneTrace; WARP_SI
         // Charge each serialised group; a global load/store group coalesces
         // across its lanes.
         if kinds & 1 != 0 {
-            let tx = loads
-                .ascending()
-                .unwrap_or_else(|| union_size(&mut load_spans[..num_loads]));
-            let c = &mut warp.stats.counters;
-            c.gld_requests += 1;
-            c.gld_transactions += tx;
-            c.gld_bytes_requested += load_bytes;
-            warp.stats.mem_bw_cycles += tx as f64 * warp.cost.global_tx_cycles;
-            warp.stats.mem_requests += 1;
+            let tx = loads.count_or(|| load_spans[..num_loads].iter().copied());
+            warp.charge_global(false, tx, load_bytes);
         }
         if kinds & 2 != 0 {
-            let tx = stores
-                .ascending()
-                .unwrap_or_else(|| union_size(&mut store_spans[..num_stores]));
-            let c = &mut warp.stats.counters;
-            c.gst_requests += 1;
-            c.gst_transactions += tx;
-            c.gst_bytes_requested += store_bytes;
-            warp.stats.mem_bw_cycles += tx as f64 * warp.cost.global_tx_cycles;
-            warp.stats.mem_requests += 1;
+            let tx = stores.count_or(|| store_spans[..num_stores].iter().copied());
+            warp.charge_global(true, tx, store_bytes);
         }
         if kinds & 4 != 0 {
             warp.stats.counters.shared_loads += 1;

@@ -90,19 +90,6 @@ fn charge_atomic(warp: &mut WarpCtx<'_>, idxs: &[usize], addrs: &[u64]) {
     warp.stats.pipeline_cycles += (1 + conflicts) as f64 * warp.cost.atomic_cycles;
 }
 
-/// Op-kind discriminant, as the replay groups lanes.
-fn kind(op: &LaneOp) -> u8 {
-    match op {
-        LaneOp::GlobalLoad { .. } => 0,
-        LaneOp::GlobalStore { .. } => 1,
-        LaneOp::SharedLoad => 2,
-        LaneOp::SharedStore => 3,
-        LaneOp::Shfl => 4,
-        LaneOp::Compute(_) => 5,
-        LaneOp::Rand => 6,
-    }
-}
-
 /// Replays 32 lane traces in lock-step, rescanning the lanes once per op
 /// kind at every position.
 fn replay_traces(warp: &mut WarpCtx<'_>, traces: &[LaneTrace; WARP_SIZE], mask: u32) {
@@ -117,7 +104,7 @@ fn replay_traces(warp: &mut WarpCtx<'_>, traces: &[LaneTrace; WARP_SIZE], mask: 
         let mut lanes_alive = 0u32;
         for l in 0..WARP_SIZE {
             if mask & (1 << l) != 0 && pos < traces[l].len() {
-                kinds_present[kind(&traces[l].ops()[pos]) as usize] = true;
+                kinds_present[traces[l].ops()[pos].kind() as usize] = true;
                 lanes_alive += 1;
             }
         }

@@ -189,13 +189,7 @@ impl<'a> WarpCtx<'a> {
             sectors.insert(span(l));
         }
         let tx = sectors.count_or(|| lanes(mask).map(span));
-        let active = mask.count_ones() as u64;
-        let c = &mut self.stats.counters;
-        c.gld_requests += 1;
-        c.gld_transactions += tx;
-        c.gld_bytes_requested += active * elem;
-        self.stats.mem_bw_cycles += tx as f64 * self.cost.global_tx_cycles;
-        self.stats.mem_requests += 1;
+        self.charge_global(false, tx, mask.count_ones() as u64 * elem);
         out
     }
 
@@ -228,13 +222,7 @@ impl<'a> WarpCtx<'a> {
             sectors.insert(span(l));
         }
         let tx = sectors.count_or(|| lanes(mask).map(span));
-        let active = mask.count_ones() as u64;
-        let c = &mut self.stats.counters;
-        c.gst_requests += 1;
-        c.gst_transactions += tx;
-        c.gst_bytes_requested += active * elem;
-        self.stats.mem_bw_cycles += tx as f64 * self.cost.global_tx_cycles;
-        self.stats.mem_requests += 1;
+        self.charge_global(true, tx, mask.count_ones() as u64 * elem);
     }
 
     /// Warp-level `atomicAdd` on a `u32` buffer; returns the pre-add values.
@@ -270,15 +258,27 @@ impl<'a> WarpCtx<'a> {
         // Serialisation penalty: every lane after the first on an address
         // replays the atomic.
         let conflicts = active - indices.count_or(|| lanes(mask).map(index));
-        let c = &mut self.stats.counters;
-        c.atomics += 1;
-        c.gst_requests += 1;
-        c.gst_transactions += tx;
-        c.gst_bytes_requested += active * elem;
-        self.stats.mem_bw_cycles += tx as f64 * self.cost.global_tx_cycles;
-        self.stats.mem_requests += 1;
+        self.stats.counters.atomics += 1;
+        self.charge_global(true, tx, active * elem);
         self.stats.pipeline_cycles += (1 + conflicts) as f64 * self.cost.atomic_cycles;
         out
+    }
+
+    /// Charges one warp-level global-memory request of `tx` sector
+    /// transactions and `bytes` requested bytes, as a store or a load.
+    pub(crate) fn charge_global(&mut self, store: bool, tx: u64, bytes: u64) {
+        let c = &mut self.stats.counters;
+        if store {
+            c.gst_requests += 1;
+            c.gst_transactions += tx;
+            c.gst_bytes_requested += bytes;
+        } else {
+            c.gld_requests += 1;
+            c.gld_transactions += tx;
+            c.gld_bytes_requested += bytes;
+        }
+        self.stats.mem_bw_cycles += tx as f64 * self.cost.global_tx_cycles;
+        self.stats.mem_requests += 1;
     }
 
     /// Shared-memory load of `u32` words.
@@ -419,8 +419,8 @@ pub(crate) fn sector_span(addr: u64, bytes: u64) -> (u64, u64) {
 /// Lanes mostly address ascending memory, so while the spans' starts do
 /// not decrease the union is kept as a running count plus the highest
 /// covered value: O(1) per lane, nothing stored. The first span starting
-/// below its predecessor abandons the running count, and the caller
-/// recounts exactly with [`union_size`].
+/// below its predecessor abandons the running count, and
+/// [`SpanUnion::count_or`] recounts exactly from the caller's spans.
 #[derive(Default)]
 pub(crate) struct SpanUnion {
     count: u64,
@@ -449,64 +449,51 @@ impl SpanUnion {
         }
     }
 
-    /// The size of the union, if every span started at or above the one
-    /// before it.
-    #[inline]
-    pub(crate) fn ascending(&self) -> Option<u64> {
-        (!self.unordered).then_some(self.count)
-    }
-
     /// The size of the union. If the spans arrived out of order, `spans`
-    /// must yield the same spans again for an exact [`union_size`] on a
-    /// stack array.
+    /// must yield the same spans again, and they are counted exactly on
+    /// the stack: in an open-addressing set, at most half full, when each
+    /// span is one value (the usual case), else by sort and merge.
     #[inline]
     pub(crate) fn count_or<I: Iterator<Item = (u64, u64)>>(
         &self,
         spans: impl FnOnce() -> I,
     ) -> u64 {
-        self.ascending().unwrap_or_else(|| {
-            let mut buf = [(0u64, 0u64); WARP_SIZE];
-            let mut n = 0;
-            for s in spans() {
-                buf[n] = s;
-                n += 1;
-            }
-            union_size(&mut buf[..n])
-        })
-    }
-}
-
-/// The number of integers covered by `spans`, in any order; may reorder
-/// them. Spans of one value each, the usual case, are counted in an
-/// open-addressing set on the stack, at most half full; wider spans are
-/// sorted and merged.
-pub(crate) fn union_size(spans: &mut [(u64, u64)]) -> u64 {
-    debug_assert!(spans.len() <= WARP_SIZE);
-    if spans.iter().all(|&(first, last)| first == last) {
-        const SLOTS: usize = 2 * WARP_SIZE;
-        // Sector ids and buffer indices never reach `u64::MAX`.
-        const EMPTY: u64 = u64::MAX;
-        let mut table = [EMPTY; SLOTS];
-        let mut distinct = 0;
-        for &(v, _) in spans.iter() {
-            // Fibonacci hashing: the product's top bits pick the slot.
-            let mut i =
-                (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOTS.trailing_zeros())) as usize;
-            while table[i] != v {
-                if table[i] == EMPTY {
-                    table[i] = v;
-                    distinct += 1;
-                    break;
-                }
-                i = (i + 1) % SLOTS;
-            }
+        if !self.unordered {
+            return self.count;
         }
-        return distinct;
+        let mut buf = [(0u64, 0u64); WARP_SIZE];
+        let mut n = 0;
+        for s in spans() {
+            buf[n] = s;
+            n += 1;
+        }
+        let spans = &mut buf[..n];
+        if spans.iter().all(|&(first, last)| first == last) {
+            const SLOTS: usize = 2 * WARP_SIZE;
+            // Sector ids and buffer indices never reach `u64::MAX`.
+            const EMPTY: u64 = u64::MAX;
+            let mut table = [EMPTY; SLOTS];
+            let mut distinct = 0;
+            for &(v, _) in spans.iter() {
+                // Fibonacci hashing: the product's top bits pick the slot.
+                let mut i = (v.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - SLOTS.trailing_zeros()))
+                    as usize;
+                while table[i] != v {
+                    if table[i] == EMPTY {
+                        table[i] = v;
+                        distinct += 1;
+                        break;
+                    }
+                    i = (i + 1) % SLOTS;
+                }
+            }
+            return distinct;
+        }
+        spans.sort_unstable();
+        let mut union = SpanUnion::default();
+        spans.iter().for_each(|&s| union.insert(s));
+        union.count
     }
-    spans.sort_unstable();
-    let mut union = SpanUnion::default();
-    spans.iter().for_each(|&s| union.insert(s));
-    union.count
 }
 
 #[cfg(test)]
@@ -544,8 +531,10 @@ mod tests {
         assert_eq!(count(3), 2);
         assert_eq!(count(4), 2, "out of order: the exact recount");
         assert_eq!(count(5), 3);
-        let mut points = [9, 3, 9, 5, 3].map(|v| (v, v));
-        assert_eq!(union_size(&mut points), 3, "one-value spans: the hash set");
+        let points = [9, 3, 9, 5, 3].map(|v| (v, v));
+        let mut u = SpanUnion::default();
+        points.iter().for_each(|&p| u.insert(p));
+        assert_eq!(u.count_or(|| points.into_iter()), 3, "the hash set");
     }
 
     #[test]
