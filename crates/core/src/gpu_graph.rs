@@ -1,7 +1,5 @@
 //! Graph residency on the simulated device.
 
-use std::borrow::Cow;
-
 use nextdoor_gpu::{DeviceBuffer, Gpu, OutOfMemory};
 use nextdoor_graph::{Csr, VertexId};
 
@@ -23,15 +21,6 @@ pub struct GpuGraph {
     pub max_weights: DeviceBuffer<f32>,
 }
 
-/// The graph's per-vertex maximum-weight table, or `1.0` for every vertex
-/// of an unweighted graph.
-fn max_weight_table(g: &Csr) -> Cow<'_, [f32]> {
-    match g.max_edge_weights() {
-        Some(table) => Cow::Borrowed(table),
-        None => Cow::Owned(vec![1.0; g.num_vertices()]),
-    }
-}
-
 impl GpuGraph {
     /// Uploads `g`, charging the host-to-device transfer when the GPU has
     /// transfer charging enabled.
@@ -40,7 +29,9 @@ impl GpuGraph {
         let degrees: Vec<u32> = (0..g.num_vertices() as VertexId)
             .map(|v| g.degree(v) as u32)
             .collect();
-        let max_weights = max_weight_table(g);
+        let max_weights: Vec<f32> = (0..g.num_vertices() as VertexId)
+            .map(|v| g.max_edge_weight(v))
+            .collect();
         Ok(GpuGraph {
             row_offsets: gpu.try_to_device(&offsets)?,
             cols: gpu.try_to_device(g.col_indices())?,
@@ -71,7 +62,9 @@ impl GpuGraph {
         let degrees: Vec<u32> = (0..g.num_vertices() as VertexId)
             .map(|v| g.degree(v) as u32)
             .collect();
-        let max_weights = max_weight_table(g);
+        let max_weights: Vec<f32> = (0..g.num_vertices() as VertexId)
+            .map(|v| g.max_edge_weight(v))
+            .collect();
         GpuGraph {
             row_offsets: gpu.host_stage(&offsets),
             cols: gpu.host_stage(g.col_indices()),

@@ -108,14 +108,11 @@ thread_local! {
 /// Runs `f` on 32 empty lane traces owned by the calling host thread, for
 /// a kernel to record one warp's per-lane code into and pass to
 /// [`WarpCtx::replay`]. The traces are cleared, not freed, between warps.
-/// A nested call on the same thread gets fresh traces.
 pub fn with_lane_traces<R>(f: impl FnOnce(&mut [LaneTrace; WARP_SIZE]) -> R) -> R {
-    LANE_TRACES.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut traces) => {
-            traces.iter_mut().for_each(LaneTrace::clear);
-            f(&mut traces)
-        }
-        Err(_) => f(&mut std::array::from_fn(|_| LaneTrace::new())),
+    LANE_TRACES.with(|cell| {
+        let mut traces = cell.borrow_mut();
+        traces.iter_mut().for_each(LaneTrace::clear);
+        f(&mut traces)
     })
 }
 

@@ -191,12 +191,6 @@ impl Csr {
         self.max_weights.as_ref().map_or(1.0, |m| m[v as usize])
     }
 
-    /// The per-vertex [`Csr::max_edge_weight`] table, if the graph is
-    /// weighted.
-    pub fn max_edge_weights(&self) -> Option<&[f32]> {
-        self.max_weights.as_deref()
-    }
-
     /// Inclusive prefix sums of `v`'s edge weights.
     ///
     /// Mirrors the prefix-sum utility of the paper's `Vertex` class, used by
