@@ -8,10 +8,9 @@
 //!    [`TuningPlan`](nextdoor_core::tuning::TuningPlan)) and once
 //!    with [`SamplerSession::enable_autotune`] +
 //!    [`SamplerSession::enable_hot_cache`]. Every query's samples must be
-//!    bit-identical across the two sessions — tuning moves launch geometry
-//!    and cost only — and the autotuned stream's total simulated cost must
-//!    not exceed the default stream's (the "autotuned ≥ default"
-//!    throughput gate).
+//!    bit-identical across the two sessions — tuning moves cost only — and
+//!    the autotuned stream's total simulated cost must not exceed the
+//!    default stream's (the "autotuned ≥ default" throughput gate).
 //! 2. **Warm cached leg** — the `serve_bench` warm-per-request workload
 //!    (walk(10) on PPI, 64 requests) replayed for two epochs by a tuned
 //!    and an untuned session in the same run: with the cache keeping hot

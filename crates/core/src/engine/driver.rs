@@ -40,7 +40,7 @@ use crate::engine::collective::{
 };
 use crate::engine::kernels::{
     block_class_work, charge_step_transits, grid_class_work, run_sample_parallel_kernel,
-    run_subwarp_kernel, run_transit_block_kernel, BlockWork, StepExec, StepOut,
+    run_subwarp_kernel, run_transit_block_kernel, BlockWork, StepExec, StepOut, BLOCK_THREADS,
 };
 use crate::engine::profile::RunProfile;
 use crate::engine::scheduling::{build_scheduling_index, partition_kernel_classes};
@@ -130,11 +130,10 @@ fn exec_step(
     match ex.app.sampling_type() {
         SamplingType::Individual => match kind {
             GpuEngineKind::NextDoor => {
-                let block_dim = tuning.block_dim;
                 let c0 = gpu.counters().cycles;
                 let memo = cache
                     .as_deref_mut()
-                    .and_then(|c| c.lookup_sched(pairs, plan.m, block_dim));
+                    .and_then(|c| c.lookup_sched(pairs, plan.m));
                 let (index, classes) = match memo {
                     Some(hit) => hit,
                     None => {
@@ -143,9 +142,9 @@ fn exec_step(
                             pairs,
                             key_bound(pairs, tuning, ex.graph.num_vertices()),
                         )?;
-                        let classes = partition_kernel_classes(gpu, &index, plan.m, block_dim)?;
+                        let classes = partition_kernel_classes(gpu, &index, plan.m, BLOCK_THREADS)?;
                         if let Some(c) = cache.as_deref_mut() {
-                            c.store_sched(pairs, plan.m, block_dim, &index, &classes);
+                            c.store_sched(pairs, plan.m, &index, &classes);
                         }
                         (index, classes)
                     }
@@ -160,12 +159,10 @@ fn exec_step(
                     ("nextdoor_block", block_class_work(&index, &classes.block)),
                     (
                         "nextdoor_grid",
-                        grid_class_work(&index, &classes.grid, plan.m, block_dim),
+                        grid_class_work(&index, &classes.grid, plan.m),
                     ),
                 ] {
-                    run_transit_block_kernel(
-                        gpu, name, ex, &index, &work, block_dim, resident, out,
-                    );
+                    run_transit_block_kernel(gpu, name, ex, &index, &work, resident, out);
                 }
             }
             GpuEngineKind::SampleParallel => {
@@ -186,7 +183,7 @@ fn exec_step(
                         pair_count: index.segments[si].count,
                     })
                     .collect();
-                run_transit_block_kernel(gpu, "tp_block", ex, &index, &bw, 1024, &[], out);
+                run_transit_block_kernel(gpu, "tp_block", ex, &index, &bw, &[], out);
             }
         },
         SamplingType::Collective => {

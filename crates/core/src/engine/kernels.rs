@@ -129,6 +129,13 @@ const REG_CACHE_PER_THREAD: usize = 32;
 /// bounded by the register budget) — a few probes per slot.
 const PRELOAD_FACTOR: usize = 4;
 
+/// Threads per block of the thread-block and grid kernels, and the
+/// block-class cutoff: a transit needing at most this many threads
+/// (`count × m`) is thread-block work, above it the transit is split across
+/// the grid in chunks of one block each. The paper fixes it at 1024
+/// (Table 2).
+pub(crate) const BLOCK_THREADS: usize = 1024;
+
 /// One unit of work for a lane of a transit-parallel kernel.
 #[derive(Debug, Clone, Copy)]
 struct LaneWork {
@@ -364,9 +371,8 @@ pub(crate) fn grid_class_work(
     index: &SchedulingIndex,
     class: &[usize],
     m: usize,
-    block_threads: usize,
 ) -> Vec<BlockWork> {
-    let pairs_per_block = (block_threads / m).max(1);
+    let pairs_per_block = (BLOCK_THREADS / m).max(1);
     let mut work = Vec::new();
     for &si in class {
         let count = index.segments[si].count;
@@ -388,18 +394,16 @@ pub(crate) fn grid_class_work(
 /// one transit (or one chunk of a huge transit), caching the adjacency list
 /// in shared memory. A block whose chunk exceeds its thread count loops
 /// grid-stride style — the vanilla-TP configuration (whole transits, no
-/// load balancing) and small tuned block sizes both rely on this.
+/// load balancing) relies on this.
 ///
-/// Blocks launch `block_dim` threads; `resident` is the session's
+/// Blocks launch [`BLOCK_THREADS`] threads; `resident` is the session's
 /// arena-resident transit set, as for [`run_subwarp_kernel`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_transit_block_kernel(
     gpu: &mut Gpu,
     name: &str,
     ex: &StepExec<'_>,
     index: &SchedulingIndex,
     blocks: &[BlockWork],
-    block_dim: usize,
     resident: &[VertexId],
     out: &mut StepOut,
 ) {
@@ -409,7 +413,7 @@ pub(crate) fn run_transit_block_kernel(
     let m = ex.plan.m;
     let cfg = LaunchConfig {
         grid_dim: blocks.len(),
-        block_dim,
+        block_dim: BLOCK_THREADS,
     };
     let values = SyncSlice::new(&mut out.values);
     let edge_shards = BlockShards::new(cfg.grid_dim);
@@ -458,13 +462,13 @@ pub(crate) fn run_transit_block_kernel(
         }
         let lanes_needed = bw.pair_count * m;
         // Every block loops until its chunk is covered. NextDoor-class
-        // chunks fit one block (`count * m <= block_dim`) so this is one
-        // iteration; vanilla TP's whole-transit blocks and plans whose
-        // `m` exceeds the tuned block size take more.
-        let iterations = lanes_needed.div_ceil(block_dim).max(1);
+        // chunks fit one block (`count * m <= BLOCK_THREADS`) so this is one
+        // iteration; vanilla TP's whole-transit blocks and grid chunks of
+        // one pair whose `m` exceeds the block take more.
+        let iterations = lanes_needed.div_ceil(BLOCK_THREADS).max(1);
         blk.for_each_warp(|w| {
             for it in 0..iterations {
-                let lane_base = it * block_dim + w.warp_in_block * WARP_SIZE;
+                let lane_base = it * BLOCK_THREADS + w.warp_in_block * WARP_SIZE;
                 if lane_base >= lanes_needed {
                     break;
                 }

@@ -118,12 +118,10 @@ pub fn build_scheduling_index(
 ///
 /// A transit needing at most [`WARP_SIZE`] threads is sub-warp work, at
 /// most `max_block_threads` thread-block work, and grid work above. The
-/// engine passes its plan's block size
-/// ([`TuningPlan::block_dim`](crate::tuning::TuningPlan::block_dim)), so a
-/// block-class transit always fits one launch block. Moving the cutoff
-/// re-assigns transits between classes; the classes execute the same
-/// `(sample, slot)` lanes with the same RNG keying, so samples are
-/// unchanged.
+/// engine passes its 1024-thread launch block (Table 2), so a block-class
+/// transit always fits one launch block. Moving the cutoff re-assigns
+/// transits between classes; the classes execute the same `(sample, slot)`
+/// lanes with the same RNG keying, so samples are unchanged.
 ///
 /// # Errors
 ///

@@ -82,9 +82,7 @@ pub use gpu_graph::GpuGraph;
 pub use session::{ClassMark, FusedResult, SamplerSession, SessionQuery};
 pub use sharded::{ShardHandoff, ShardedFusedResult, ShardedRunOut, ShardedSampler, SuperStepMark};
 pub use store::SampleStore;
-pub use tuning::{
-    AutoTuner, CacheConfig, CacheStats, HotTransitCache, ProfileSummary, TunerConfig, TuningPlan,
-};
+pub use tuning::{AutoTuner, CacheConfig, CacheStats, HotTransitCache, TunerConfig, TuningPlan};
 
 /// Compile-checks the code blocks in `TUNING.md` (the autotuning guide) as
 /// doctests, so the documented examples cannot rot.

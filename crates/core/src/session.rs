@@ -279,8 +279,8 @@ impl SamplerSession {
     /// completed query's [`RunProfile`] and, once `cfg.warmup_queries`
     /// queries have been seen, derives a [`TuningPlan`] that subsequent
     /// queries run under. Plans change only **at query boundaries** and the
-    /// knobs only move launch geometry and cost, so the samples of every
-    /// query are bit-identical to an untuned session's (see
+    /// knob only moves cost, so the samples of every query are
+    /// bit-identical to an untuned session's (see
     /// [`crate::tuning`]).
     pub fn enable_autotune(&mut self, cfg: TunerConfig) {
         self.tuner = Some(AutoTuner::new(cfg));
@@ -295,12 +295,12 @@ impl SamplerSession {
         self.cache = Some(HotTransitCache::new(cfg));
     }
 
-    /// Pins an explicit tuning plan (normalised via
-    /// [`TuningPlan::normalized`]), e.g. one derived offline from an
-    /// exported kernel report. Overwritten by the autotuner's next update
-    /// if autotuning is enabled.
+    /// Sets the plan the next queries run under. If autotuning is
+    /// enabled, the tuner replaces it at the first query boundary, once
+    /// warm, where the plan it derives differs (and counts a
+    /// [`plan_update`](SamplerSession::plan_updates)).
     pub fn set_tuning_plan(&mut self, plan: TuningPlan) {
-        self.plan = plan.normalized();
+        self.plan = plan;
     }
 
     /// The plan the next query will run under.
@@ -336,7 +336,7 @@ impl SamplerSession {
         if let Some(t) = self.tuner.as_mut() {
             t.observe(profile);
             if t.ready() {
-                let new_plan = t.plan(self.gpu.spec()).normalized();
+                let new_plan = t.plan();
                 if new_plan != self.plan {
                     self.plan = new_plan;
                     self.plan_updates += 1;

@@ -4,281 +4,64 @@
 //! transits become sub-warp work up to 32 threads, thread-block work up to
 //! 1024, grid work above (Table 2); the block kernels always launch 1024
 //! threads; and the scheduling index always radix-sorts with a key range of
-//! `num_vertices`. The block size and the key range are cost levers the
-//! per-kernel profiler can judge, so a session that answers repeated queries
-//! over one graph can do better: an [`AutoTuner`] consumes the
-//! [`RunProfile`]s of a session's first queries and derives a per-workload
-//! [`TuningPlan`], which the engine's planner and launch path honor on
-//! subsequent queries. A [`HotTransitCache`] additionally keeps the
-//! adjacency slices and scheduling indices of frequently-hit transits
-//! resident across queries, so the warm path skips the preload traffic and
-//! index rebuilds it would otherwise repeat every query.
+//! `num_vertices`. The key range is a cost lever the per-kernel profiler can
+//! judge, so a session that answers repeated queries over one graph can do
+//! better: an [`AutoTuner`] consumes the [`RunProfile`]s of a session's first
+//! queries and derives a per-workload [`TuningPlan`], which the engine's
+//! scheduling step honors on subsequent queries. A [`HotTransitCache`]
+//! additionally keeps the adjacency slices and scheduling indices of
+//! frequently-hit transits resident across queries, so the warm path skips
+//! the preload traffic and index rebuilds it would otherwise repeat every
+//! query.
 //!
 //! # Determinism
 //!
 //! Tuning never changes samples. Every sampled value is produced by
 //! [`run_next_individual`](crate::engine)'s counter-keyed RNG, addressed by
-//! `(seed, sample, step, slot)` — launch geometry, kernel-class assignment,
-//! radix passes and cache hits only change *where* and *at what cost* a
-//! lane runs, never which draws it makes. The plan itself is derived only
-//! at query boundaries from completed profiles, so no mid-query state ever
-//! feeds back into the run that produced it. `tests/tuning.rs` proptests
-//! bit-identity against arbitrary valid plans and `tests/determinism.rs`
-//! golden-pins a tuned session at every host thread count. See `TUNING.md`
-//! for the full knob inventory and the signal→knob mapping.
+//! `(seed, sample, step, slot)` — radix passes and cache hits only change
+//! *at what cost* a lane runs, never which draws it makes. The plan itself
+//! is derived only at query boundaries from completed profiles, so no
+//! mid-query state ever feeds back into the run that produced it.
+//! `tests/tuning.rs` proptests bit-identity against both plans and
+//! `tests/determinism.rs` golden-pins a tuned session at every host thread
+//! count. See `TUNING.md` for the knob and the signal that moves it.
 //!
 //! ```
 //! use nextdoor_core::tuning::{AutoTuner, TunerConfig, TuningPlan};
-//! use nextdoor_gpu::GpuSpec;
 //!
 //! // Before any profile is observed the tuner proposes the paper's
-//! // baseline: Table 2 thresholds, 1024-thread blocks, full key range.
+//! // baseline: the full key range.
 //! let tuner = AutoTuner::new(TunerConfig::default());
 //! assert!(!tuner.ready());
-//! assert_eq!(tuner.plan(&GpuSpec::small()), TuningPlan::default());
+//! assert_eq!(tuner.plan(), TuningPlan::default());
 //! ```
 
 use crate::engine::profile::{KernelPhase, RunProfile};
 use crate::engine::scheduling::{KernelClasses, SchedulingIndex};
 use crate::gpu_graph::GpuGraph;
-use nextdoor_gpu::{DeviceBuffer, Gpu, GpuSpec, LaunchConfig, WARP_SIZE};
+use nextdoor_gpu::{DeviceBuffer, Gpu, LaunchConfig};
 use nextdoor_graph::{Csr, VertexId};
 use std::collections::BTreeMap;
 
-/// The two knobs the [`AutoTuner`] moves, with the paper's fixed choices
-/// as defaults. A default plan reproduces the untuned engine
+/// The knob the [`AutoTuner`] moves, with the paper's fixed choice as the
+/// default. A default plan reproduces the untuned engine
 /// *byte-identically* — same launches, same counters, same samples — so
-/// enabling tuning with a baseline plan is a no-op. The engine's other
+/// enabling tuning with a baseline plan is a no-op. The engine's
 /// load-balancing parameters stay at the paper's values: a transit needing
-/// at most [`WARP_SIZE`] threads is sub-warp work (Table 2), and the
+/// at most 32 threads is sub-warp work and at most 1024 thread-block work
+/// (Table 2), the block and grid kernels launch 1024-thread blocks, and the
 /// sub-warp kernel's register preload expects four accesses per thread.
 ///
-/// Both knobs are **cost levers**: they move work between kernel classes,
-/// resize launches or shed radix passes, but the sampled values are a
-/// function of the RNG keying alone (see the [module docs](self)). A plan
-/// from an untrusted source should be passed through
-/// [`TuningPlan::normalized`], which clamps every field into its valid
-/// range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The knob is a **cost lever**: it sheds radix passes, but the sampled
+/// values are a function of the RNG keying alone (see the
+/// [module docs](self)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TuningPlan {
-    /// Threads per block of the thread-block and grid kernels, and the
-    /// block-class cutoff: a transit needing at most this many threads
-    /// (`count × m`) is thread-block work, above it the transit is split
-    /// across the grid — the block kernel covers exactly one block of lanes
-    /// per transit. The paper fixes it at 1024 (Table 2); smaller blocks
-    /// spread a few huge transits over more SMs at the price of refilling
-    /// the shared-memory cache per block.
-    pub block_dim: usize,
     /// Bound the scheduling index's radix-sort key range by the **maximum
     /// live transit id** of the step instead of `num_vertices - 1`. A
     /// tighter bound can only shed whole radix passes (the sort is stable
     /// and its output is identical), so this knob is never worse.
     pub tight_key_range: bool,
-}
-
-impl Default for TuningPlan {
-    fn default() -> Self {
-        TuningPlan {
-            block_dim: 1024,
-            tight_key_range: false,
-        }
-    }
-}
-
-impl TuningPlan {
-    /// Clamps `block_dim` to a warp multiple in `WARP_SIZE..=1024`, so the
-    /// block cutoff never falls below the sub-warp one.
-    ///
-    /// ```
-    /// use nextdoor_core::tuning::TuningPlan;
-    /// let wild = TuningPlan {
-    ///     block_dim: 100,
-    ///     tight_key_range: true,
-    /// };
-    /// let p = wild.normalized();
-    /// assert_eq!(p.block_dim, 96);
-    /// assert_eq!(p.block_dim % 32, 0);
-    /// ```
-    #[must_use]
-    pub fn normalized(mut self) -> Self {
-        self.block_dim = (self.block_dim.clamp(WARP_SIZE, 1024) / WARP_SIZE) * WARP_SIZE;
-        self
-    }
-
-    /// Whether this plan reproduces the untuned engine exactly.
-    pub fn is_baseline(&self) -> bool {
-        *self == TuningPlan::default()
-    }
-}
-
-/// The profile signals the tuner accumulates across observed queries:
-/// simulated milliseconds per kernel phase plus the SM-utilisation and
-/// occupancy of the block/grid sampling kernels. Built from in-process
-/// [`RunProfile`]s via [`ProfileSummary::observe`] or from an exported
-/// `results/profile_*.json` via [`ProfileSummary::from_kernel_report_json`]
-/// (the worked example in `TUNING.md`).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ProfileSummary {
-    /// Total kernel milliseconds observed.
-    pub total_ms: f64,
-    /// Milliseconds spent building scheduling indices (sort, scan,
-    /// compact, partition).
-    pub scheduling_ms: f64,
-    /// Milliseconds in the sub-warp sampling kernel.
-    pub subwarp_ms: f64,
-    /// Milliseconds in the thread-block sampling kernels.
-    pub block_ms: f64,
-    /// Milliseconds in the grid sampling kernel.
-    pub grid_ms: f64,
-    /// ms-weighted SM busy fraction (0..=1) of the block/grid kernels.
-    pub bg_sm_utilization: f64,
-    /// ms-weighted achieved occupancy (0..=1) of the block/grid kernels.
-    pub bg_occupancy: f64,
-    /// Profiles folded into this summary.
-    pub runs: u64,
-}
-
-impl ProfileSummary {
-    /// Folds one run's per-kernel breakdown into the summary.
-    pub fn observe(&mut self, profile: &RunProfile) {
-        let mut bg_ms = 0.0f64;
-        let mut bg_util = 0.0f64;
-        let mut bg_occ = 0.0f64;
-        for k in &profile.kernels {
-            self.total_ms += k.ms;
-            match k.phase {
-                KernelPhase::Scheduling => self.scheduling_ms += k.ms,
-                KernelPhase::SubWarp => self.subwarp_ms += k.ms,
-                KernelPhase::Block => self.block_ms += k.ms,
-                KernelPhase::Grid => self.grid_ms += k.ms,
-                _ => {}
-            }
-            if matches!(k.phase, KernelPhase::Block | KernelPhase::Grid) {
-                let util = if k.counters.sm_total_cycles > 0.0 {
-                    k.counters.sm_busy_cycles / k.counters.sm_total_cycles
-                } else {
-                    1.0
-                };
-                bg_ms += k.ms;
-                bg_util += util * k.ms;
-                bg_occ += k.avg_occupancy * k.ms;
-            }
-        }
-        if bg_ms > 0.0 {
-            // Fold the new ms-weighted averages into the running ones.
-            let prev_ms = self.prev_bg_ms(bg_ms);
-            self.bg_sm_utilization =
-                (self.bg_sm_utilization * prev_ms + bg_util) / (prev_ms + bg_ms);
-            self.bg_occupancy = (self.bg_occupancy * prev_ms + bg_occ) / (prev_ms + bg_ms);
-        }
-        self.runs += 1;
-    }
-
-    /// Block+grid milliseconds accumulated *before* the current
-    /// observation (the running averages' weight).
-    fn prev_bg_ms(&self, new_bg_ms: f64) -> f64 {
-        (self.block_ms + self.grid_ms - new_bg_ms).max(0.0)
-    }
-
-    /// Fraction of observed time spent building scheduling indices.
-    pub fn scheduling_share(&self) -> f64 {
-        if self.total_ms > 0.0 {
-            self.scheduling_ms / self.total_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of observed time in the block/grid sampling kernels.
-    pub fn block_grid_share(&self) -> f64 {
-        if self.total_ms > 0.0 {
-            (self.block_ms + self.grid_ms) / self.total_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// Parses a `results/profile_<label>.json` file written by
-    /// [`nextdoor_gpu::write_kernel_report`] into a summary, using the same
-    /// kernel-name → phase mapping as the in-process profiler. The parser
-    /// accepts exactly the report writer's output shape (an object with a
-    /// `"kernels"` array); it is not a general JSON parser.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first structural problem found — no
-    /// `"kernels"` array, a kernel entry without `name`/`ms`, or an `ms`
-    /// that is negative or not finite.
-    pub fn from_kernel_report_json(json: &str) -> Result<ProfileSummary, String> {
-        let kernels_at = json
-            .find("\"kernels\"")
-            .ok_or_else(|| "no \"kernels\" array in report".to_string())?;
-        let rest = &json[kernels_at..];
-        let open = rest
-            .find('[')
-            .ok_or_else(|| "\"kernels\" is not an array".to_string())?;
-        let body = &rest[open + 1..];
-        let close = body
-            .find(']')
-            .ok_or_else(|| "unterminated \"kernels\" array".to_string())?;
-        let body = &body[..close];
-        let mut s = ProfileSummary::default();
-        let mut bg_ms = 0.0f64;
-        let mut bg_util = 0.0f64;
-        let mut bg_occ = 0.0f64;
-        for entry in body.split("{\"name\"").skip(1) {
-            let name = json_str_field(&format!("{{\"name\"{entry}"), "name")
-                .ok_or_else(|| "kernel entry without a name".to_string())?;
-            let ms = json_num_field(entry, "ms")
-                .ok_or_else(|| format!("kernel {name:?} has no \"ms\" field"))?;
-            if !(ms.is_finite() && ms >= 0.0) {
-                return Err(format!("kernel {name:?} has an invalid \"ms\" of {ms}"));
-            }
-            s.total_ms += ms;
-            let phase = crate::engine::profile::classify_kernel(&name);
-            match phase {
-                KernelPhase::Scheduling => s.scheduling_ms += ms,
-                KernelPhase::SubWarp => s.subwarp_ms += ms,
-                KernelPhase::Block => s.block_ms += ms,
-                KernelPhase::Grid => s.grid_ms += ms,
-                _ => {}
-            }
-            if matches!(phase, KernelPhase::Block | KernelPhase::Grid) {
-                // `multiprocessor_activity` is a percentage in the report.
-                let util = json_num_field(entry, "multiprocessor_activity")
-                    .map_or(1.0, |p| (p / 100.0).clamp(0.0, 1.0));
-                let occ = json_num_field(entry, "avg_occupancy").unwrap_or(1.0);
-                bg_ms += ms;
-                bg_util += util * ms;
-                bg_occ += occ * ms;
-            }
-        }
-        if bg_ms > 0.0 {
-            s.bg_sm_utilization = bg_util / bg_ms;
-            s.bg_occupancy = bg_occ / bg_ms;
-        }
-        s.runs = 1;
-        Ok(s)
-    }
-}
-
-/// Extracts `"field":"value"` from a JSON fragment.
-fn json_str_field(fragment: &str, field: &str) -> Option<String> {
-    let key = format!("\"{field}\":\"");
-    let at = fragment.find(&key)? + key.len();
-    let end = fragment[at..].find('"')?;
-    Some(fragment[at..at + end].to_string())
-}
-
-/// Extracts `"field":<number>` from a JSON fragment.
-fn json_num_field(fragment: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let at = fragment.find(&key)? + key.len();
-    let tail = &fragment[at..];
-    let end = tail
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
 }
 
 /// When the [`AutoTuner`] starts acting on its observations.
@@ -300,26 +83,18 @@ impl Default for TunerConfig {
 /// either).
 const MIN_SCHEDULING_SHARE: f64 = 0.02;
 
-/// SM busy fraction of the block/grid kernels below which the tuner
-/// considers them imbalanced (a few huge transits hogging few SMs).
-const LOW_SM_UTILIZATION: f64 = 0.5;
-
-/// Block/grid share of total time below which the tuner leaves the block
-/// geometry alone regardless of utilisation.
-const MIN_BLOCK_GRID_SHARE: f64 = 0.25;
-
 /// Derives a [`TuningPlan`] from observed [`RunProfile`]s.
 ///
-/// The tuner is deliberately conservative: it only moves a knob off the
-/// baseline when the profile shows the knob's cost is material *and* the
-/// move is predicted (or guaranteed) not to regress — the `tune_bench`
-/// gate holds autotuned throughput to ≥ default across the whole
-/// benchmark suite. The signal→knob mapping is documented in `TUNING.md`.
+/// The tuner accumulates the simulated milliseconds of every observed
+/// kernel and of the scheduling-index kernels among them, and engages the
+/// tight key range once scheduling is a visible share of the total. The
+/// signal→knob mapping is documented in `TUNING.md`.
 #[derive(Debug, Clone, Default)]
 pub struct AutoTuner {
     cfg: TunerConfig,
-    summary: ProfileSummary,
     observed: u64,
+    total_ms: f64,
+    scheduling_ms: f64,
 }
 
 impl AutoTuner {
@@ -327,43 +102,20 @@ impl AutoTuner {
     pub fn new(cfg: TunerConfig) -> Self {
         AutoTuner {
             cfg,
-            summary: ProfileSummary::default(),
-            observed: 0,
+            ..AutoTuner::default()
         }
     }
 
     /// Folds one completed query's profile into the evidence. Call only at
     /// query boundaries — [`AutoTuner::plan`] never sees a partial run.
     pub fn observe(&mut self, profile: &RunProfile) {
-        self.summary.observe(profile);
-        self.observed += 1;
-    }
-
-    /// Folds an externally-parsed summary (e.g. from
-    /// [`ProfileSummary::from_kernel_report_json`]) into the evidence.
-    pub fn observe_summary(&mut self, summary: &ProfileSummary) {
-        let mut s = *summary;
-        // Merge by simple accumulation; the averages re-weight by ms.
-        let bg_ms = s.block_ms + s.grid_ms;
-        let prev_bg = self.summary.block_ms + self.summary.grid_ms;
-        if prev_bg + bg_ms > 0.0 {
-            s.bg_sm_utilization = (self.summary.bg_sm_utilization * prev_bg
-                + s.bg_sm_utilization * bg_ms)
-                / (prev_bg + bg_ms);
-            s.bg_occupancy =
-                (self.summary.bg_occupancy * prev_bg + s.bg_occupancy * bg_ms) / (prev_bg + bg_ms);
+        for k in &profile.kernels {
+            self.total_ms += k.ms;
+            if k.phase == KernelPhase::Scheduling {
+                self.scheduling_ms += k.ms;
+            }
         }
-        self.summary = ProfileSummary {
-            total_ms: self.summary.total_ms + s.total_ms,
-            scheduling_ms: self.summary.scheduling_ms + s.scheduling_ms,
-            subwarp_ms: self.summary.subwarp_ms + s.subwarp_ms,
-            block_ms: self.summary.block_ms + s.block_ms,
-            grid_ms: self.summary.grid_ms + s.grid_ms,
-            bg_sm_utilization: s.bg_sm_utilization,
-            bg_occupancy: s.bg_occupancy,
-            runs: self.summary.runs + s.runs,
-        };
-        self.observed += s.runs;
+        self.observed += 1;
     }
 
     /// Queries observed so far.
@@ -377,36 +129,16 @@ impl AutoTuner {
         self.observed >= self.cfg.warmup_queries
     }
 
-    /// The accumulated evidence.
-    pub fn summary(&self) -> &ProfileSummary {
-        &self.summary
-    }
-
     /// Derives the plan the evidence supports. Before
     /// [`AutoTuner::ready`], this is the baseline plan.
-    pub fn plan(&self, spec: &GpuSpec) -> TuningPlan {
-        let mut plan = TuningPlan::default();
-        if !self.ready() {
-            return plan;
-        }
-        let s = &self.summary;
+    pub fn plan(&self) -> TuningPlan {
         // Tight key range: sheds whole radix passes with identical output,
         // so engage whenever scheduling time is visible at all.
-        if s.scheduling_share() >= MIN_SCHEDULING_SHARE {
-            plan.tight_key_range = true;
+        TuningPlan {
+            tight_key_range: self.ready()
+                && self.total_ms > 0.0
+                && self.scheduling_ms / self.total_ms >= MIN_SCHEDULING_SHARE,
         }
-        // Block geometry: when the block/grid kernels are a material share
-        // of the run but leave most SMs idle, a few huge transits are each
-        // pinned to one block — halving the block splits them across twice
-        // as many SMs. Only do it when the spec says the smaller block
-        // does not lose occupancy.
-        if s.block_grid_share() >= MIN_BLOCK_GRID_SHARE
-            && s.bg_sm_utilization < LOW_SM_UTILIZATION
-            && spec.occupancy(512, 0) >= spec.occupancy(1024, 0)
-        {
-            plan.block_dim = 512;
-        }
-        plan
     }
 }
 
@@ -474,7 +206,7 @@ impl CacheStats {
 }
 
 /// One memoised scheduling index: valid only for an identical live-pair
-/// set under an identical block size. Keyed by content hash, so a
+/// set and sample size. Keyed by content hash, so a
 /// request stream that replays earlier queries (every epoch of a training
 /// loop resubmits the same mini-batches) reuses its indices no matter how
 /// the repeats interleave.
@@ -482,17 +214,16 @@ impl CacheStats {
 struct SchedMemo {
     pairs: Vec<(VertexId, u32)>,
     m: usize,
-    block_dim: usize,
     index: SchedulingIndex,
     classes: KernelClasses,
 }
 
 /// FNV-1a over the memo identity; collisions are disambiguated by the
 /// exact-match check in [`HotTransitCache::lookup_sched`].
-fn memo_key(pairs: &[(VertexId, u32)], m: usize, block_dim: usize) -> u64 {
+fn memo_key(pairs: &[(VertexId, u32)], m: usize) -> u64 {
     const PRIME: u64 = 0x100000001b3;
     let mut h: u64 = 0xcbf29ce484222325;
-    for v in [m as u64, block_dim as u64, pairs.len() as u64] {
+    for v in [m as u64, pairs.len() as u64] {
         h = (h ^ v).wrapping_mul(PRIME);
     }
     for &(t, s) in pairs {
@@ -574,15 +305,14 @@ impl HotTransitCache {
     }
 
     /// Returns the memoised scheduling index for this live-pair set and
-    /// this block size, if one is retained.
+    /// sample size, if one is retained.
     pub(crate) fn lookup_sched(
         &mut self,
         pairs: &[(VertexId, u32)],
         m: usize,
-        block_dim: usize,
     ) -> Option<(SchedulingIndex, KernelClasses)> {
-        let e = self.memo.get(&memo_key(pairs, m, block_dim))?;
-        if e.m == m && e.block_dim == block_dim && e.pairs == pairs {
+        let e = self.memo.get(&memo_key(pairs, m))?;
+        if e.m == m && e.pairs == pairs {
             self.stats.sched_reuses += 1;
             Some((e.index.clone(), e.classes.clone()))
         } else {
@@ -596,12 +326,11 @@ impl HotTransitCache {
         &mut self,
         pairs: &[(VertexId, u32)],
         m: usize,
-        block_dim: usize,
         index: &SchedulingIndex,
         classes: &KernelClasses,
     ) {
         self.stats.sched_builds += 1;
-        let key = memo_key(pairs, m, block_dim);
+        let key = memo_key(pairs, m);
         let replaced = self.memo.get(&key).map_or(0, |e| e.pairs.len());
         if self.memo_pairs - replaced + pairs.len() > MEMO_MAX_PAIRS {
             return;
@@ -612,7 +341,6 @@ impl HotTransitCache {
             SchedMemo {
                 pairs: pairs.to_vec(),
                 m,
-                block_dim,
                 index: index.clone(),
                 classes: classes.clone(),
             },
@@ -735,97 +463,53 @@ impl HotTransitCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::profile::KernelBreakdown;
+    use nextdoor_gpu::GpuSpec;
 
-    #[test]
-    fn default_plan_is_baseline() {
-        let p = TuningPlan::default();
-        assert!(p.is_baseline());
-        assert_eq!(p, p.normalized());
-    }
-
-    #[test]
-    fn normalized_restores_invariants() {
-        let p = TuningPlan {
-            block_dim: 33,
-            tight_key_range: false,
+    /// A one-query profile of `sched_ms` in the scheduling-index sort and
+    /// `other_ms` in a sampling kernel.
+    fn profile(sched_ms: f64, other_ms: f64) -> RunProfile {
+        let kernel = |name: &str, phase, ms| KernelBreakdown {
+            name: name.to_string(),
+            phase,
+            ms,
+            ..KernelBreakdown::default()
+        };
+        RunProfile {
+            kernels: vec![
+                kernel("radix_histogram", KernelPhase::Scheduling, sched_ms),
+                kernel("nextdoor_grid", KernelPhase::Grid, other_ms),
+            ],
+            ..RunProfile::default()
         }
-        .normalized();
-        assert_eq!(p.block_dim, 32);
-        let p = TuningPlan {
-            block_dim: 9999,
-            tight_key_range: true,
-        }
-        .normalized();
-        assert_eq!(p.block_dim, 1024);
     }
 
     #[test]
     fn tuner_stays_baseline_until_warm() {
-        let spec = GpuSpec::small();
-        let mut t = AutoTuner::new(TunerConfig::default());
-        assert!(t.plan(&spec).is_baseline());
-        let s = ProfileSummary {
-            total_ms: 10.0,
-            scheduling_ms: 5.0,
-            runs: 1,
-            ..ProfileSummary::default()
-        };
-        t.observe_summary(&s);
+        let mut t = AutoTuner::new(TunerConfig { warmup_queries: 2 });
+        assert_eq!(t.plan(), TuningPlan::default());
+        // Half the time is scheduling, but one query is not warm yet.
+        t.observe(&profile(5.0, 5.0));
         assert!(!t.ready());
-        assert!(t.plan(&spec).is_baseline());
-        t.observe_summary(&s);
+        assert_eq!(t.plan(), TuningPlan::default());
+        t.observe(&profile(5.0, 5.0));
         assert!(t.ready());
-        let p = t.plan(&spec);
-        assert!(p.tight_key_range, "half the time is scheduling");
-        assert_eq!(p.block_dim, 1024, "no block/grid evidence");
+        assert_eq!(t.observed(), 2);
+        assert!(t.plan().tight_key_range);
     }
 
     #[test]
-    fn tuner_halves_blocks_on_low_sm_utilization() {
-        let spec = GpuSpec::small();
-        let mut t = AutoTuner::new(TunerConfig { warmup_queries: 1 });
-        let s = ProfileSummary {
-            total_ms: 10.0,
-            grid_ms: 8.0,
-            bg_sm_utilization: 0.2,
-            bg_occupancy: 0.9,
-            runs: 1,
-            ..ProfileSummary::default()
+    fn tight_key_range_engages_at_the_scheduling_share_threshold() {
+        let warm = |sched_ms, other_ms| {
+            let mut t = AutoTuner::new(TunerConfig { warmup_queries: 1 });
+            t.observe(&profile(sched_ms, other_ms));
+            t.plan().tight_key_range
         };
-        t.observe_summary(&s);
-        let p = t.plan(&spec);
-        assert_eq!(p.block_dim, 512);
-    }
-
-    #[test]
-    fn kernel_report_parser_reads_the_writer_shape() {
-        let json = r#"{
-  "device": {"num_sms": 8, "clock_ghz": 1.38},
-  "kernels": [
-    {"name":"radix_histogram","launches":6,"cycles":1000.000,"ms":0.100000,"avg_occupancy":1.0000,"max_shared_mem_bytes":0,"counters":{"gld_requests":1,"multiprocessor_activity":80.00}},
-    {"name":"nextdoor_grid","launches":2,"cycles":9000.000,"ms":0.900000,"avg_occupancy":0.5000,"max_shared_mem_bytes":4096,"counters":{"gld_requests":9,"multiprocessor_activity":25.00}}
-  ],
-  "transfers": {"count":0,"htod_bytes":0,"dtoh_bytes":0,"cycles":0.000}
-}"#;
-        let s = ProfileSummary::from_kernel_report_json(json).expect("parses");
-        assert!((s.total_ms - 1.0).abs() < 1e-9);
-        assert!((s.scheduling_ms - 0.1).abs() < 1e-9);
-        assert!((s.grid_ms - 0.9).abs() < 1e-9);
-        assert!((s.bg_sm_utilization - 0.25).abs() < 1e-9);
-        assert!((s.bg_occupancy - 0.5).abs() < 1e-9);
-        assert!(ProfileSummary::from_kernel_report_json("{}").is_err());
-        // Malformed or hostile reports are errors, never panics.
-        for bad in [
-            r#"{"kernels"]["#,
-            r#"{"kernels": ] , "x": ["#,
-            r#"{"kernels":[{"name":"nextdoor_grid","ms":1e400}]}"#,
-            r#"{"kernels":[{"name":"nextdoor_grid","ms":-5}]}"#,
-        ] {
-            assert!(
-                ProfileSummary::from_kernel_report_json(bad).is_err(),
-                "{bad} must be rejected"
-            );
-        }
+        // 1 of 50 ms is exactly MIN_SCHEDULING_SHARE.
+        assert_eq!(1.0 / 50.0, MIN_SCHEDULING_SHARE);
+        assert!(warm(1.0, 49.0), "on at exactly the threshold");
+        assert!(!warm(1.0, 49.001), "off just below it");
+        assert!(!warm(0.0, 0.0), "an empty profile has no share");
     }
 
     #[test]
@@ -916,18 +600,18 @@ mod tests {
         let half = MEMO_MAX_PAIRS as u32 / 2;
         let a: Vec<(VertexId, u32)> = (0..half).map(|i| (i, i)).collect();
         let b: Vec<(VertexId, u32)> = (0..half).map(|i| (half + i, i)).collect();
-        cache.store_sched(&a, 2, 1024, &index, &classes);
-        cache.store_sched(&b, 2, 1024, &index, &classes);
-        assert!(cache.lookup_sched(&a, 2, 1024).is_some());
-        assert!(cache.lookup_sched(&b, 2, 1024).is_some());
+        cache.store_sched(&a, 2, &index, &classes);
+        cache.store_sched(&b, 2, &index, &classes);
+        assert!(cache.lookup_sched(&a, 2).is_some());
+        assert!(cache.lookup_sched(&b, 2).is_some());
         assert!(
-            cache.lookup_sched(&a, 2, 512).is_none(),
-            "the block size is part of the identity"
+            cache.lookup_sched(&a, 3).is_none(),
+            "the sample size is part of the identity"
         );
         // Budget spent: a third distinct entry is not retained.
         let c = vec![(5u32, 0u32)];
-        cache.store_sched(&c, 1, 1024, &index, &classes);
-        assert!(cache.lookup_sched(&c, 1, 1024).is_none());
+        cache.store_sched(&c, 1, &index, &classes);
+        assert!(cache.lookup_sched(&c, 1).is_none());
         assert_eq!(cache.stats().sched_builds, 3);
         assert_eq!(cache.stats().sched_reuses, 2);
     }

@@ -87,9 +87,7 @@ impl GpuSpec {
     /// Number of blocks of `block_dim` threads and `shared_bytes` of shared
     /// memory that one SM can host concurrently — the minimum of the warp,
     /// block-slot and shared-memory limiters, at least 1. This is the
-    /// occupancy arithmetic the launch path charges; it is public so
-    /// launch-geometry planners (e.g. `nextdoor_core::tuning`) can predict
-    /// a candidate configuration's occupancy before launching it.
+    /// occupancy arithmetic the launch path charges.
     pub fn resident_blocks(&self, block_dim: usize, shared_bytes: usize) -> usize {
         let warps_per_block = block_dim.div_ceil(crate::warp::WARP_SIZE).max(1);
         let by_warps = self.max_warps_per_sm / warps_per_block;
@@ -99,25 +97,6 @@ impl GpuSpec {
             .checked_div(shared_bytes)
             .unwrap_or(usize::MAX);
         by_warps.min(by_blocks).min(by_shared).max(1)
-    }
-
-    /// Theoretical achieved occupancy (resident warps over the SM's
-    /// maximum) of blocks of `block_dim` threads each using `shared_bytes`
-    /// of shared memory.
-    ///
-    /// ```
-    /// use nextdoor_gpu::GpuSpec;
-    /// let spec = GpuSpec::v100();
-    /// // 1024-thread blocks: 32 warps each, 2 blocks resident = 64 warps.
-    /// assert_eq!(spec.occupancy(1024, 0), 1.0);
-    /// // Tiny blocks run into the per-SM block-slot limit.
-    /// assert!(spec.occupancy(32, 0) < 1.0);
-    /// ```
-    pub fn occupancy(&self, block_dim: usize, shared_bytes: usize) -> f64 {
-        let warps_per_block = block_dim.div_ceil(crate::warp::WARP_SIZE).max(1);
-        let resident = (warps_per_block * self.resident_blocks(block_dim, shared_bytes))
-            .min(self.max_warps_per_sm);
-        resident as f64 / self.max_warps_per_sm as f64
     }
 
     /// Converts simulated cycles to milliseconds at this spec's clock.

@@ -806,8 +806,8 @@ impl MicroBatcher {
     /// [`nextdoor_core::tuning`]). The batcher harvests the resulting
     /// counters into [`ServeMetrics::tuning`] after every served batch and
     /// traces cache maintenance as [`SpanKind::CacheInstall`] spans.
-    /// Samples are unaffected — tuning moves only launch geometry and
-    /// cost, so responses stay bit-identical to an untuned batcher's.
+    /// Samples are unaffected — tuning moves only cost, so responses stay
+    /// bit-identical to an untuned batcher's.
     pub fn enable_tuning(&mut self, tuner: TunerConfig, cache: CacheConfig) {
         self.backend.enable_autotune(tuner);
         self.backend.enable_hot_cache(cache);
