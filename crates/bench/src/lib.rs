@@ -6,9 +6,9 @@
 //!
 //! All binaries accept:
 //!
-//! * `--scale <f>`   — dataset scale factor relative to Table 3 (default 0.01)
-//! * `--samples <n>` — samples per application run (default 2048)
-//! * `--sms <n>`     — SMs of the simulated GPU (default 16, a 1/5 V100)
+//! * `--scale <f>`   — dataset scale factor relative to Table 3 (default 0.005)
+//! * `--samples <n>` — samples per application run (default 16384)
+//! * `--sms <n>`     — SMs of the simulated GPU (default 4, a 1/20 V100)
 //! * `--seed <n>`    — RNG seed (default 42)
 //! * `--threads <n>` — host worker threads for the simulator's launch pool
 //!   and the CPU baselines (default: available parallelism)

@@ -201,17 +201,6 @@ fn execute_lanes(
                 Some(&mut traces[l]),
             );
             vals[l] = v;
-            // The step buffer is sized `num_samples * slots` and every
-            // kernel derives `phys` from an in-range pair position, so an
-            // out-of-range slot means the work plan itself is corrupt —
-            // fail loudly rather than silently merging the store into the
-            // last sector.
-            debug_assert!(
-                lw.phys < step_buf.len(),
-                "physical slot {} out of range for step buffer of {} slots",
-                lw.phys,
-                step_buf.len()
-            );
             idxs[l] = lw.phys;
             // SAFETY: each `(sample, tidx, j)` slot belongs to exactly one
             // lane of the launch, and each shard is only touched by the
@@ -621,9 +610,10 @@ mod tests {
     /// Regression test for the silent clamp: an out-of-range physical slot
     /// means the work plan is corrupt, and `execute_lanes` must fail
     /// loudly instead of merging the store into the last in-range sector
-    /// (which corrupted store-coalescing attribution).
+    /// (which corrupted store-coalescing attribution). The step buffer's
+    /// store indexes a slice, so it panics in every build profile.
     #[test]
-    #[should_panic(expected = "out of range for step buffer")]
+    #[should_panic(expected = "index out of bounds")]
     fn out_of_range_physical_slot_fails_loudly() {
         use crate::api::{NextCtx, Steps};
         use crate::engine::plan_step;

@@ -147,8 +147,6 @@ pub struct ShardedRunOut {
     pub elapsed_ms: f64,
     /// Walkers handed between shards over the whole query.
     pub handoffs: u64,
-    /// Simulated bytes those hand-offs moved.
-    pub handoff_bytes: u64,
     /// Walkers terminated because their owner shard was lost.
     pub walkers_lost: u64,
     /// Per-super-step breakdown in execution order.
@@ -172,8 +170,6 @@ pub struct ShardedFusedResult {
     pub shard_reports: Vec<FaultReport>,
     /// Walkers handed between shards across the whole batch.
     pub handoffs: u64,
-    /// Simulated bytes those hand-offs moved.
-    pub handoff_bytes: u64,
     /// Walkers terminated by shard loss across the whole batch.
     pub walkers_lost: u64,
     /// Super-step breakdowns of every class, concatenated in class order.
@@ -407,7 +403,6 @@ impl ShardedSampler {
         let mut shard_reports = vec![FaultReport::default(); self.shards.len()];
         let mut elapsed_ms = 0.0;
         let mut handoffs = 0u64;
-        let mut handoff_bytes = 0u64;
         let mut walkers_lost = 0u64;
         let mut super_steps = Vec::new();
         let mut stores = Vec::with_capacity(classes.len());
@@ -419,7 +414,6 @@ impl ShardedSampler {
             }
             elapsed_ms += out.elapsed_ms;
             handoffs += out.handoffs;
-            handoff_bytes += out.handoff_bytes;
             walkers_lost += out.walkers_lost;
             super_steps.extend(out.super_steps);
             stores.push(out.store);
@@ -432,7 +426,6 @@ impl ShardedSampler {
             report,
             shard_reports,
             handoffs,
-            handoff_bytes,
             walkers_lost,
             super_steps,
         })
@@ -469,7 +462,6 @@ impl ShardedSampler {
 
         let mut steps_run = 0usize;
         let mut total_handoffs = 0u64;
-        let mut total_handoff_bytes = 0u64;
         let mut walkers_lost = 0u64;
         let mut super_steps: Vec<SuperStepMark> = Vec::new();
         // Previous executed step's transit array, for hand-off lineage.
@@ -605,7 +597,6 @@ impl ShardedSampler {
             let exchange_ms = step_bytes as f64 / LINK_BYTES_PER_MS + barrier;
             elapsed_ms += step_ms + exchange_ms;
             total_handoffs += step_handoff_walkers;
-            total_handoff_bytes += step_bytes;
             super_steps.push(SuperStepMark {
                 step,
                 shard_pairs: shard_pairs.iter().map(Vec::len).collect(),
@@ -636,7 +627,6 @@ impl ShardedSampler {
             shard_reports,
             elapsed_ms,
             handoffs: total_handoffs,
-            handoff_bytes: total_handoff_bytes,
             walkers_lost,
             super_steps,
         })
@@ -753,7 +743,6 @@ mod tests {
             .flat_map(|m| m.handoffs.iter().map(|h| h.walkers))
             .sum();
         assert_eq!(from_marks, out.handoffs);
-        assert_eq!(out.handoff_bytes, out.handoffs * HANDOFF_BYTES_PER_WALKER);
         assert!(out.handoffs > 0, "4 hash-partitioned shards must hand off");
         assert!(out.elapsed_ms > 0.0);
         assert_eq!(sharded.clock_ms(), out.elapsed_ms);

@@ -28,15 +28,16 @@
 //!    the same graph behind a deterministic router with retry/backoff and
 //!    per-replica circuit breakers ([`CircuitBreaker`]); a
 //!    [`FleetBatcher`] over it degrades gracefully with priority shedding
-//!    and reports every recovery decision in a per-run [`FleetReport`].
-//!    All of it runs on the simulated fleet clock, so chaos runs are
-//!    bit-identical at any host thread count.
+//!    and reports every recovery decision in a per-run [`FleetReport`],
+//!    whose fleet counters come from the metrics registry. All of it runs
+//!    on the simulated fleet clock, so chaos runs are bit-identical at any
+//!    host thread count.
 //! 5. [`ShardedPool`] — the sharded tier: the graph **partitioned** across
 //!    N devices instead of replicated, with partition-aware request
 //!    routing, cross-shard walker hand-off in deterministic super-steps,
-//!    per-shard circuit breakers, and typed [`ServeError::ShardLost`]
-//!    shedding when a request's home shard is permanently gone. Samples
-//!    stay bit-identical to single-device runs.
+//!    and typed [`ServeError::ShardLost`] shedding when a request's home
+//!    shard's device is lost (a shard is alive or lost; it has no
+//!    breaker). Samples stay bit-identical to single-device runs.
 //!
 //! ```
 //! use nextdoor_core::api::{NextCtx, SamplingApp, Steps};

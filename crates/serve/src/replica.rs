@@ -31,7 +31,9 @@
 //! first** with a typed
 //! [`ServeError::Overloaded`] rejection. Every decision — retries, trips,
 //! probes, recoveries, sheds, degraded intervals — is surfaced in the
-//! per-run [`FleetReport`].
+//! per-run [`FleetReport`], whose fleet-wide counters (batches, retries,
+//! cool-down waits, sheds) are read from the [`ServeMetrics`] registry the
+//! dispatches record into.
 //!
 //! Determinism: the pool runs on one scheduler thread; each replica's
 //! device is internally deterministic at any host worker-thread count, and
@@ -43,6 +45,7 @@
 use crate::batcher::{record_class_launches, Backend, Batcher};
 use crate::error::ServeError;
 use crate::health::{BreakerConfig, CircuitBreaker};
+use crate::metrics::ServeMetrics;
 use crate::trace::{Obs, Span, SpanKind};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::multi_gpu::least_loaded_alive;
@@ -76,9 +79,11 @@ impl Default for PoolConfig {
 /// Per-replica slice of a [`FleetReport`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReplicaStats {
-    /// Fused batches dispatched to this replica (probes included).
+    /// Fused batches dispatched to this replica (probes included); for a
+    /// shard, the super-steps it ran a slice of.
     pub dispatches: u64,
-    /// Dispatches that returned a typed error.
+    /// Dispatches that returned a typed error (a shard fails once, when
+    /// its device is lost).
     pub failures: u64,
     /// Breaker trips (consecutive-failure and failed-probe trips).
     pub trips: u64,
@@ -107,7 +112,7 @@ pub struct FleetReport {
     /// Serving-level re-dispatches after a failed attempt.
     pub retries: u64,
     /// Requests shed with [`ServeError::Overloaded`] under degraded
-    /// capacity.
+    /// capacity, or with [`ServeError::ShardLost`] by the sharded pool.
     pub shed: u64,
     /// Times the fleet clock was advanced to the earliest breaker reopen
     /// because no replica was routable.
@@ -142,7 +147,6 @@ struct Replica {
     breaker: CircuitBreaker,
     dispatches: u64,
     failures: u64,
-    lost: bool,
     faults: FaultReport,
 }
 
@@ -163,10 +167,7 @@ pub struct ReplicaPool {
     replicas: Vec<Replica>,
     cfg: PoolConfig,
     fleet_ms: f64,
-    batches: u64,
     requests: u64,
-    retries: u64,
-    cooldown_waits: u64,
 }
 
 impl ReplicaPool {
@@ -201,7 +202,6 @@ impl ReplicaPool {
                 breaker: CircuitBreaker::new(cfg.breaker),
                 dispatches: 0,
                 failures: 0,
-                lost: false,
                 faults: FaultReport::default(),
             });
         }
@@ -209,10 +209,7 @@ impl ReplicaPool {
             replicas,
             cfg,
             fleet_ms: 0.0,
-            batches: 0,
             requests: 0,
-            retries: 0,
-            cooldown_waits: 0,
         })
     }
 
@@ -272,9 +269,12 @@ impl ReplicaPool {
         &self.replicas[i].breaker
     }
 
-    /// The pool-level slice of the [`FleetReport`] (the batcher in front
-    /// adds shedding and degraded intervals, see [`FleetBatcher::report`]).
-    pub fn report_core(&self) -> FleetReport {
+    /// The pool-level slice of the [`FleetReport`], with the fleet counters
+    /// read from `metrics`, the registry this pool's dispatches record into
+    /// (the batcher in front adds the degraded intervals, see
+    /// [`FleetBatcher::report`]).
+    pub fn report(&self, metrics: &ServeMetrics) -> FleetReport {
+        let m = &metrics.sim;
         FleetReport {
             replicas: self
                 .replicas
@@ -285,21 +285,17 @@ impl ReplicaPool {
                     trips: r.breaker.trips,
                     probes: r.breaker.probes,
                     recoveries: r.breaker.recoveries,
-                    lost: r.lost,
+                    lost: r.breaker.is_dead(),
                     faults: r.faults.clone(),
                 })
                 .collect(),
-            batches: self.batches,
+            batches: m.batches,
             requests: self.requests,
-            retries: self.retries,
-            shed: 0,
-            cooldown_waits: self.cooldown_waits,
-            degraded_intervals: Vec::new(),
-            handoffs: 0,
-            handoff_bytes: 0,
-            super_steps: 0,
-            walkers_lost: 0,
+            retries: m.retries,
+            shed: m.overload_shed,
+            cooldown_waits: m.cooldown_waits,
             fleet_ms: self.fleet_ms,
+            ..FleetReport::default()
         }
     }
 
@@ -375,7 +371,6 @@ impl ReplicaPool {
                 r.failures += 1;
                 if matches!(e, NextDoorError::DeviceLost { .. }) || r.session.device_lost() {
                     r.breaker.kill();
-                    r.lost = true;
                 } else {
                     r.breaker.record_failure(self.fleet_ms);
                 }
@@ -434,7 +429,6 @@ impl Backend for ReplicaPool {
         batch_seq: u64,
         obs: &mut Obs,
     ) -> Result<FusedResult, ServeError> {
-        self.batches += 1;
         self.requests += queries.len() as u64;
         obs.metrics.sim.batches += 1;
         obs.metrics.sim.batch_size.observe(queries.len() as f64);
@@ -454,7 +448,6 @@ impl Backend for ReplicaPool {
                 };
                 let wait_from = self.fleet_ms;
                 self.fleet_ms = self.fleet_ms.max(t);
-                self.cooldown_waits += 1;
                 obs.metrics.sim.cooldown_waits += 1;
                 obs.trace.push(
                     Span::new(SpanKind::CooldownWait, wait_from, self.fleet_ms).batch(batch_seq),
@@ -474,7 +467,6 @@ impl Backend for ReplicaPool {
                     let backoff_from = self.fleet_ms;
                     self.fleet_ms += self.cfg.backoff_base_ms * (1u64 << retries.min(63)) as f64;
                     retries += 1;
-                    self.retries += 1;
                     obs.metrics.sim.retries += 1;
                     obs.trace.push(
                         Span::new(SpanKind::Backoff, backoff_from, self.fleet_ms).batch(batch_seq),
@@ -508,13 +500,12 @@ impl FleetBatcher {
     }
 
     /// The full fleet report: the pool's dispatch/recovery counters plus
-    /// the batcher's shedding and degraded-mode intervals (an interval
-    /// still open is closed at the current fleet clock).
+    /// the batcher's degraded-mode intervals (an interval still open is
+    /// closed at the current fleet clock).
     pub fn report(&self) -> FleetReport {
         FleetReport {
-            shed: self.metrics().sim.overload_shed,
             degraded_intervals: self.degraded_intervals(),
-            ..self.backend.report_core()
+            ..self.backend.report(self.metrics())
         }
     }
 }
@@ -555,14 +546,18 @@ mod tests {
         Request::new((0..4).map(|i| vec![i as u32]).collect(), seed)
     }
 
-    /// Dispatches one single-query batch through the trait with a scratch
-    /// recorder.
-    fn dispatch(pool: &mut ReplicaPool, seed: u64) -> Result<FusedResult, ServeError> {
+    /// Dispatches one single-query batch through the trait, recording
+    /// into `obs`.
+    fn dispatch(
+        pool: &mut ReplicaPool,
+        obs: &mut Obs,
+        seed: u64,
+    ) -> Result<FusedResult, ServeError> {
         let q = SessionQuery {
             init: req(seed).init,
             seed,
         };
-        pool.dispatch(&[q], 0, &mut Obs::default())
+        pool.dispatch(&[q], 0, obs)
     }
 
     #[test]
@@ -571,9 +566,10 @@ mod tests {
             vec![FaultPlan::new(), FaultPlan::new()],
             PoolConfig::default(),
         );
-        dispatch(&mut pool, 1).unwrap();
-        dispatch(&mut pool, 2).unwrap();
-        let rep = pool.report_core();
+        let mut obs = Obs::default();
+        dispatch(&mut pool, &mut obs, 1).unwrap();
+        dispatch(&mut pool, &mut obs, 2).unwrap();
+        let rep = pool.report(&obs.metrics);
         assert_eq!(
             (rep.replicas[0].dispatches, rep.replicas[1].dispatches),
             (1, 1),
@@ -588,19 +584,20 @@ mod tests {
     #[test]
     fn device_loss_fails_over_with_identical_samples() {
         let mut clean = pool_with_plans(vec![FaultPlan::new()], PoolConfig::default());
-        let want = dispatch(&mut clean, 7).unwrap();
+        let want = dispatch(&mut clean, &mut Obs::default(), 7).unwrap();
 
         let mut pool = pool_with_plans(
             vec![FaultPlan::new().lose_device_at_launch(0), FaultPlan::new()],
             PoolConfig::default(),
         );
-        let got = dispatch(&mut pool, 7).unwrap();
+        let mut obs = Obs::default();
+        let got = dispatch(&mut pool, &mut obs, 7).unwrap();
         assert_eq!(
             got.per_query[0].final_samples(),
             want.per_query[0].final_samples(),
             "replica choice never changes the samples"
         );
-        let rep = pool.report_core();
+        let rep = pool.report(&obs.metrics);
         assert!(rep.replicas[0].lost);
         assert_eq!(rep.replicas[0].failures, 1);
         assert_eq!(rep.replicas[1].dispatches, 1, "survivor served the batch");
@@ -617,7 +614,7 @@ mod tests {
             PoolConfig::default(),
         );
         assert_eq!(
-            dispatch(&mut pool, 1).err(),
+            dispatch(&mut pool, &mut Obs::default(), 1).err(),
             Some(ServeError::NoHealthyReplica { replicas: 2 })
         );
         assert_eq!(pool.healthy_count(), 0);
@@ -644,8 +641,9 @@ mod tests {
             },
         };
         let mut pool = pool_with_plans(vec![storm], cfg);
-        let res = dispatch(&mut pool, 3).unwrap();
-        let rep = pool.report_core();
+        let mut obs = Obs::default();
+        let res = dispatch(&mut pool, &mut obs, 3).unwrap();
+        let rep = pool.report(&obs.metrics);
         assert!(rep.retries > 0, "the storm forced serving-level retries");
         assert!(rep.replicas[0].trips >= 1, "breaker tripped");
         assert!(rep.replicas[0].probes >= 1, "half-open probes happened");
@@ -661,7 +659,7 @@ mod tests {
 
         // The recovered samples equal a fault-free run's.
         let mut clean = pool_with_plans(vec![FaultPlan::new()], PoolConfig::default());
-        let want = dispatch(&mut clean, 3).unwrap();
+        let want = dispatch(&mut clean, &mut Obs::default(), 3).unwrap();
         assert_eq!(
             res.per_query[0].final_samples(),
             want.per_query[0].final_samples()
@@ -687,11 +685,12 @@ mod tests {
             ..PoolConfig::default()
         };
         let mut pool = pool_with_plans(vec![storm], cfg);
+        let mut obs = Obs::default();
         assert!(matches!(
-            dispatch(&mut pool, 3),
+            dispatch(&mut pool, &mut obs, 3),
             Err(ServeError::Sampling(NextDoorError::KernelFault { .. }))
         ));
-        let rep = pool.report_core();
+        let rep = pool.report(&obs.metrics);
         assert_eq!(rep.retries, 100);
         assert!(rep.fleet_ms.is_finite());
     }

@@ -1,6 +1,6 @@
 //! The sharded serving tier: partition-aware routing over a
-//! [`ShardedSampler`] fleet, with per-shard circuit breakers, shard-loss
-//! degradation and shard-labelled observability.
+//! [`ShardedSampler`] fleet, with shard-loss degradation and
+//! shard-labelled observability.
 //!
 //! Where the replicated tier ([`ReplicaPool`](crate::ReplicaPool)) holds N
 //! full copies of the graph and routes whole batches to any healthy
@@ -12,33 +12,33 @@
 //!
 //! **Admission** is partition-aware: a query whose home shard (the owner
 //! of its first seed vertex) is permanently lost is shed with
-//! [`ServeError::ShardLost`]; one whose home shard's circuit breaker is
-//! open is shed with [`ServeError::Overloaded`]. Admitted queries fuse
-//! into one batch dispatch across the whole fleet.
+//! [`ServeError::ShardLost`]; every other valid query is admitted, and the
+//! admitted queries fuse into one batch dispatch across the whole fleet.
+//! A shard is either alive or lost ([`ShardedSampler::shard_lost`]): it
+//! cannot refuse the walkers that hop onto it, so it has no circuit
+//! breaker, and a fault it absorbs and retries never sheds a query.
 //!
 //! **Degradation**: a shard's device loss does not fail the fleet — its
 //! walkers terminate deterministically at the shard boundary (counted as
-//! `walkers_lost`), its breaker goes [`Dead`](crate::BreakerState::Dead),
-//! and subsequent queries homed there are shed as `ShardLost` while every
-//! other query keeps being served by the survivors.
+//! `walkers_lost`), and subsequent queries homed there are shed as
+//! `ShardLost` while every other query keeps being served by the
+//! survivors.
 //!
 //! **Observability**: each dispatch records a [`SpanKind::Dispatch`] span
 //! plus per-super-step [`SpanKind::SuperStep`] spans (one per shard that
 //! held walkers, on that shard's replica track) and instant
 //! [`SpanKind::Handoff`] markers for every exchange edge; the metrics
-//! registry gains `handoffs`, `super_steps` and `shard_shed` counters; and
-//! [`ShardedPool::report`] emits the same [`FleetReport`] the chaos
-//! harness golden-pins for the replicated tier, with the shard-specific
-//! counters filled in.
+//! registry counts `handoffs`, `super_steps` and `shard_shed`; and
+//! [`ShardedPool::report`] reads those counters into the same
+//! [`FleetReport`] the chaos harness golden-pins for the replicated tier.
 
 use crate::error::ServeError;
-use crate::health::{BreakerConfig, CircuitBreaker};
 use crate::metrics::ServeMetrics;
 use crate::replica::{FleetReport, ReplicaStats};
 use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::SessionQuery;
-use nextdoor_core::sharded::{ShardedFusedResult, ShardedSampler};
+use nextdoor_core::sharded::{ShardedFusedResult, ShardedSampler, HANDOFF_BYTES_PER_WALKER};
 use nextdoor_core::{validate_run, FaultReport, NextDoorError, SampleStore};
 use nextdoor_gpu::{FaultPlan, GpuSpec};
 use nextdoor_graph::{Csr, PartitionStats};
@@ -85,24 +85,17 @@ pub struct ShardDispatch {
 /// semantics.
 pub struct ShardedPool {
     sampler: ShardedSampler,
-    breakers: Vec<CircuitBreaker>,
     obs: Obs,
     batches: u64,
     requests: u64,
-    shed: u64,
-    handoffs: u64,
-    handoff_bytes: u64,
-    super_steps: u64,
     walkers_lost: u64,
     shard_dispatches: Vec<u64>,
-    shard_failures: Vec<u64>,
     shard_faults: Vec<FaultReport>,
 }
 
 impl ShardedPool {
-    /// Builds a sharded pool: partitions `graph` across
-    /// `cfg.num_shards` devices of `spec` and arms one circuit breaker per
-    /// shard, with the default [`BreakerConfig`].
+    /// Builds a sharded pool: partitions `graph` across `cfg.num_shards`
+    /// devices of `spec`.
     ///
     /// # Errors
     ///
@@ -118,17 +111,11 @@ impl ShardedPool {
         let n = sampler.num_shards();
         Ok(ShardedPool {
             sampler,
-            breakers: vec![CircuitBreaker::new(BreakerConfig::default()); n],
             obs: Obs::default(),
             batches: 0,
             requests: 0,
-            shed: 0,
-            handoffs: 0,
-            handoff_bytes: 0,
-            super_steps: 0,
             walkers_lost: 0,
             shard_dispatches: vec![0; n],
-            shard_failures: vec![0; n],
             shard_faults: vec![FaultReport::default(); n],
         })
     }
@@ -138,10 +125,9 @@ impl ShardedPool {
         self.sampler.num_shards()
     }
 
-    /// Shards whose breaker currently admits traffic.
+    /// Shards whose device is still alive.
     pub fn healthy_count(&self) -> usize {
-        let now = self.fleet_ms();
-        self.breakers.iter().filter(|b| b.available(now)).count()
+        self.sampler.shards_alive()
     }
 
     /// The fleet clock in simulated milliseconds: super-step critical
@@ -158,11 +144,6 @@ impl ShardedPool {
     /// Partition-quality statistics of the placement.
     pub fn partition_stats(&self) -> &PartitionStats {
         self.sampler.partition_stats()
-    }
-
-    /// Shard `s`'s circuit breaker.
-    pub fn breaker(&self, s: usize) -> &CircuitBreaker {
-        &self.breakers[s]
     }
 
     /// The fleet's span stream (dispatch, super-step and hand-off spans).
@@ -184,10 +165,9 @@ impl ShardedPool {
     /// Routes and runs one batch of queries.
     ///
     /// Each query is validated (invalid inputs → [`ServeError::Sampling`])
-    /// and admitted against its home shard (the owner of its first seed
-    /// vertex): dead shard → [`ServeError::ShardLost`], open breaker →
-    /// [`ServeError::Overloaded`]. Admitted queries run as one
-    /// fused sharded batch, bit-identical per query to standalone runs.
+    /// and admitted unless its home shard (the owner of its first seed
+    /// vertex) is lost ([`ServeError::ShardLost`]). Admitted queries run as
+    /// one fused sharded batch, bit-identical per query to standalone runs.
     ///
     /// # Errors
     ///
@@ -218,9 +198,7 @@ impl ShardedPool {
                 continue;
             }
             let home = self.sampler.home_shard(&q.init[0]);
-            if self.sampler.shard_lost(home) || self.breakers[home].is_dead() {
-                self.breakers[home].kill();
-                self.shed += 1;
+            if self.sampler.shard_lost(home) {
                 self.obs.metrics.sim.shard_shed += 1;
                 self.obs.trace.push(
                     Span::instant(SpanKind::OverloadShed, start_ms)
@@ -233,55 +211,22 @@ impl ShardedPool {
                 }));
                 continue;
             }
-            if !self.breakers[home].available(start_ms) {
-                self.shed += 1;
-                self.obs.metrics.sim.overload_shed += 1;
-                self.obs.trace.push(
-                    Span::instant(SpanKind::OverloadShed, start_ms)
-                        .batch(batch)
-                        .replica(home),
-                );
-                results[qi] = Some(Err(ServeError::Overloaded {
-                    healthy: self.healthy_count(),
-                    replicas: shards,
-                }));
-                continue;
-            }
             admitted.push(qi);
         }
 
         let mut handoffs = 0u64;
         let mut walkers_lost = 0u64;
         if !admitted.is_empty() {
-            for &qi in &admitted {
-                let home = self.sampler.home_shard(&queries[qi].init[0]);
-                self.breakers[home].begin_dispatch(start_ms);
-            }
             let batch_queries: Vec<SessionQuery> =
                 admitted.iter().map(|&qi| queries[qi].clone()).collect();
-            let before_dead: Vec<bool> = (0..shards).map(|s| self.sampler.shard_lost(s)).collect();
-            let fused = self.fused_run(&batch_queries)?;
+            let fused = self.sampler.query_fused(&batch_queries)?;
             handoffs = fused.handoffs;
             walkers_lost = fused.walkers_lost;
-            self.record_batch(batch, start_ms, &fused, admitted.len());
-
-            // Per-shard health: a shard that died during the batch goes
-            // Dead; one that absorbed faults but survived records a
-            // failure; a clean live shard records a success.
-            let now = self.fleet_ms();
-            for (s, was_dead) in before_dead.iter().enumerate() {
-                self.shard_faults[s].merge(&fused.shard_reports[s]);
-                if self.sampler.shard_lost(s) {
-                    if !was_dead {
-                        self.shard_failures[s] += 1;
-                    }
-                    self.breakers[s].kill();
-                } else if !fused.shard_reports[s].is_clean() {
-                    self.breakers[s].record_failure(now);
-                } else {
-                    self.breakers[s].record_success();
-                }
+            self.walkers_lost += walkers_lost;
+            for (acc, r) in self.shard_faults.iter_mut().zip(&fused.shard_reports) {
+                acc.merge(r);
             }
+            self.record_batch(batch, start_ms, &fused, admitted.len());
             for (slot, store) in admitted.iter().zip(fused.per_query) {
                 results[*slot] = Some(Ok(store));
             }
@@ -301,17 +246,6 @@ impl ShardedPool {
             handoffs,
             walkers_lost,
         })
-    }
-
-    /// Runs the admitted slice as one fused sharded batch and folds the
-    /// per-shard fault reports into the pool's accounting.
-    fn fused_run(&mut self, queries: &[SessionQuery]) -> Result<ShardedFusedResult, ServeError> {
-        let fused = self.sampler.query_fused(queries)?;
-        self.handoffs += fused.handoffs;
-        self.handoff_bytes += fused.handoff_bytes;
-        self.super_steps += fused.super_steps.len() as u64;
-        self.walkers_lost += fused.walkers_lost;
-        Ok(fused)
     }
 
     /// Records the dispatch, super-step and hand-off spans plus the metric
@@ -379,32 +313,33 @@ impl ShardedPool {
 
     /// The fleet report: per-shard stats in [`ReplicaStats`] form plus the
     /// shard-specific counters, in the same shape the replicated tier's
-    /// chaos harness golden-pins.
+    /// chaos harness golden-pins. The fleet counters are the metrics
+    /// registry's; a shard has no breaker, so its `trips`, `probes` and
+    /// `recoveries` are 0, and it fails once, when its device is lost.
     pub fn report(&self) -> FleetReport {
-        let now = self.fleet_ms();
+        let m = &self.obs.metrics.sim;
         FleetReport {
             replicas: (0..self.num_shards())
-                .map(|s| ReplicaStats {
-                    dispatches: self.shard_dispatches[s],
-                    failures: self.shard_failures[s],
-                    trips: self.breakers[s].trips,
-                    probes: self.breakers[s].probes,
-                    recoveries: self.breakers[s].recoveries,
-                    lost: self.sampler.shard_lost(s),
-                    faults: self.shard_faults[s].clone(),
+                .map(|s| {
+                    let lost = self.sampler.shard_lost(s);
+                    ReplicaStats {
+                        dispatches: self.shard_dispatches[s],
+                        failures: u64::from(lost),
+                        lost,
+                        faults: self.shard_faults[s].clone(),
+                        ..ReplicaStats::default()
+                    }
                 })
                 .collect(),
             batches: self.batches,
             requests: self.requests,
-            retries: 0,
-            shed: self.shed,
-            cooldown_waits: 0,
-            degraded_intervals: Vec::new(),
-            handoffs: self.handoffs,
-            handoff_bytes: self.handoff_bytes,
-            super_steps: self.super_steps,
+            shed: m.shard_shed,
+            handoffs: m.handoffs,
+            handoff_bytes: m.handoffs * HANDOFF_BYTES_PER_WALKER,
+            super_steps: m.super_steps,
             walkers_lost: self.walkers_lost,
-            fleet_ms: now,
+            fleet_ms: self.fleet_ms(),
+            ..FleetReport::default()
         }
     }
 }

@@ -22,6 +22,7 @@ $BIN/fig9   --samples 2048 "$@"        | tee results/fig9.txt
 $BIN/fig10  --samples 8192 "$@"        | tee results/fig10.txt
 $BIN/table5 --samples 512  "$@"        | tee results/table5.txt
 $BIN/large_graphs --samples 4096 "$@"  | tee results/large_graphs.txt
+$BIN/ablation "$@"                     | tee results/ablation.txt
 $BIN/serve_bench --samples 4096 "$@"   | tee results/serve_bench.txt
 $BIN/chaos_bench --samples 4096 "$@"   | tee results/chaos_bench.txt
 $BIN/load_bench  --samples 4096 "$@"   | tee results/load_bench.txt

@@ -13,7 +13,8 @@
 //!   the super-step marks, the serving-tier `Handoff` spans, the metrics
 //!   registry and the `FleetReport` — the four views agree to the walker;
 //! * **typed degradation**: queries homed on a lost shard are shed with
-//!   `ServeError::ShardLost` while survivors keep serving.
+//!   `ServeError::ShardLost` while survivors keep serving, and a shard that
+//!   absorbs and retries faults keeps serving the queries homed on it.
 
 use proptest::prelude::*;
 
@@ -283,4 +284,51 @@ fn lost_shard_sheds_typed_while_survivors_serve() {
         digest(d2.results[1].as_ref().expect("replay serves too")),
         "degraded results replay bit-identically"
     );
+}
+
+#[test]
+fn absorbed_faults_never_shed_home_queries() {
+    let graph = rmat(8, 2000, RmatParams::SKEWED, 3);
+    let app = || -> Box<dyn SamplingApp + Send> { Box::new(KHop::new(vec![3, 2])) };
+    let mut pool = ShardedPool::new(
+        GpuSpec::small(),
+        graph.clone(),
+        app(),
+        ShardPoolConfig::default(),
+    )
+    .unwrap();
+    let roots: Vec<Vec<VertexId>> = (0..256u32)
+        .filter(|&v| pool.sampler().owner_of(v) == 0)
+        .take(8)
+        .map(|v| vec![v])
+        .collect();
+    assert_eq!(roots.len(), 8, "shard 0 owns at least 8 vertices");
+    let query = |seed: u64| SessionQuery {
+        init: roots.clone(),
+        seed,
+    };
+
+    // Two batches in which shard 0 absorbs and retries one transient fault
+    // each. A shard cannot refuse walkers, so absorbed faults must not shed
+    // the queries homed on it.
+    for seed in [21, 22] {
+        pool.schedule_faults(0, FaultPlan::new().transient_at_launch(1));
+        let d = pool.dispatch(&[query(seed)]).unwrap();
+        assert!(d.results[0].is_ok(), "the fault is retried on the shard");
+    }
+
+    // The next query homed on shard 0 is served, bit-identically.
+    let q = query(23);
+    let d = pool.dispatch(std::slice::from_ref(&q)).unwrap();
+    let got = d.results[0]
+        .as_ref()
+        .expect("a shard that absorbed faults still serves its home queries");
+    let mut gpu = Gpu::new(GpuSpec::small());
+    let solo = run_nextdoor(&mut gpu, &graph, app().as_ref(), &q.init, q.seed).unwrap();
+    assert_eq!(digest(got), digest(&solo.store));
+
+    let report = pool.report();
+    assert_eq!(report.replicas[0].faults.transient_faults, 2);
+    assert_eq!(report.replicas[0].trips, 0);
+    assert_eq!(report.shed, 0);
 }
