@@ -24,8 +24,7 @@
 //! Everything scheduling-relevant runs on the simulated clock with
 //! counter-based RNG, so the run is deterministic: a digest of every
 //! request's outcome is written to `results/load_digest.txt` for CI to
-//! compare bit-for-bit across host thread counts. Wall-clock latencies are
-//! measured too but stay out of the digest.
+//! compare bit-for-bit across host thread counts.
 //!
 //! A second experiment isolates the head-of-line-blocking fix: the same
 //! mixed-width request set is served (a) interleaved under the width-class
@@ -48,7 +47,6 @@ use nextdoor_serve::{
     BreakerConfig, FleetBatcher, MicroBatcher, PoolConfig, Priority, ReplicaPool, Request,
     ServeConfig, ServeError, SpanKind,
 };
-use std::time::Instant;
 
 fn app() -> Box<dyn SamplingApp + Send> {
     Box::new(nextdoor_apps::KHop::new(vec![3, 2]))
@@ -163,7 +161,6 @@ struct LoadOutcome {
     launches: u64,
     run_sim_ms: f64,
     digest: String,
-    wall_ms: Vec<f64>,
     queued_ms: Vec<f64>,
     service_ms: Vec<f64>,
     total_ms: Vec<f64>,
@@ -243,14 +240,12 @@ fn run_open_loop(
         launches: 0,
         run_sim_ms: 0.0,
         digest: String::new(),
-        wall_ms: Vec::new(),
         queued_ms: Vec::new(),
         service_ms: Vec::new(),
         total_ms: Vec::new(),
         batch_sizes: Vec::new(),
     };
     let mut meta = std::collections::HashMap::new();
-    let mut submitted_wall = std::collections::HashMap::new();
     let mut next = 0usize;
     while next < script.len() || b.pending_len() > 0 {
         let now = b.pool().fleet_ms();
@@ -274,7 +269,6 @@ fn run_open_loop(
                 Ok(id) => {
                     out.admitted += 1;
                     meta.insert(id, next);
-                    submitted_wall.insert(id, Instant::now());
                 }
                 Err(ServeError::QueueFull { .. }) => {
                     out.queue_rejected += 1;
@@ -288,8 +282,6 @@ fn run_open_loop(
         }
         for (id, outcome) in b.drain() {
             let i = meta[&id];
-            let wall = submitted_wall[&id].elapsed().as_secs_f64() * 1e3;
-            out.wall_ms.push(wall);
             match outcome {
                 Ok(resp) => {
                     out.completed += 1;
@@ -431,7 +423,6 @@ fn main() {
     } else {
         load.batch_sizes.iter().sum::<usize>() as f64 / load.batch_sizes.len() as f64
     };
-    let wall = sorted(load.wall_ms.clone());
     let queued = sorted(load.queued_ms.clone());
     let service = sorted(load.service_ms.clone());
     let total = sorted(load.total_ms.clone());
@@ -618,7 +609,6 @@ fn main() {
          \"queued_p50_ms\": {:.4},\n      \"queued_p99_ms\": {:.4},\n      \
          \"service_p50_ms\": {:.4},\n      \"service_p99_ms\": {:.4},\n      \
          \"total_p50_ms\": {:.4},\n      \"total_p99_ms\": {:.4}\n    }},\n    \
-         \"wall_latency\": {{\n      \"p50_ms\": {:.4},\n      \"p99_ms\": {:.4}\n    }},\n    \
          \"mixed_width_fusion\": {{\n      \"requests\": {},\n      \
          \"interleaved_sim_ms\": {interleaved_ms:.4},\n      \
          \"interleaved_launches\": {interleaved_launches},\n      \
@@ -642,8 +632,6 @@ fn main() {
         percentile(&service, 99.0),
         percentile(&total, 50.0),
         percentile(&total, 99.0),
-        percentile(&wall, 50.0),
-        percentile(&wall, 99.0),
         mixed.len(),
         fifo_ms / interleaved_ms,
     );

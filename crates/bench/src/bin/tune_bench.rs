@@ -15,9 +15,7 @@
 //!    (walk(10) on PPI, 64 requests) replayed for two epochs by a tuned
 //!    and an untuned session in the same run: with the cache keeping hot
 //!    transits resident across queries, the tuned session's second epoch
-//!    must cost less simulated time than the untuned session's. The tuned
-//!    epoch is also wall-clock timed; those numbers are recorded, not
-//!    gated.
+//!    must cost less simulated time than the untuned session's.
 //!
 //! Results are spliced into the `"tune"` section of `BENCH_serve.json`
 //! (same convention as `chaos_bench` / `load_bench` / `shard_bench`).
@@ -27,7 +25,6 @@ use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
 use nextdoor_core::session::SamplerSession;
 use nextdoor_core::tuning::{CacheConfig, TunerConfig};
 use nextdoor_graph::{Dataset, VertexId};
-use std::time::Instant;
 
 struct Walk(usize);
 impl SamplingApp for Walk {
@@ -162,7 +159,7 @@ fn main() {
          the never-worse gate failed"
     );
 
-    // Leg 2: the serve_bench warm workload on a tuned session, wall-clock.
+    // Leg 2: the serve_bench warm workload on a tuned session.
     let requests = 64usize;
     let samples_per_request = (cfg.samples / requests).clamp(8, 64);
     let inits: Vec<Vec<Vec<VertexId>>> = (0..requests)
@@ -201,19 +198,15 @@ fn main() {
     }
     // Epoch 1: the measured warm pass over the identical request stream,
     // then the untuned session's epoch 1 as the same-run baseline.
-    let mut lat: Vec<f64> = Vec::with_capacity(requests);
-    let mut tuned_out = Vec::with_capacity(requests);
     let sim0 = warm.sim_ms();
-    let t0 = Instant::now();
-    for (r, init) in inits.iter().enumerate() {
-        let t = Instant::now();
-        tuned_out.push(
+    let tuned_out: Vec<_> = inits
+        .iter()
+        .enumerate()
+        .map(|(r, init)| {
             warm.query(init, cfg.seed + r as u64)
-                .expect("warm tuned query runs"),
-        );
-        lat.push(t.elapsed().as_secs_f64() * 1e3);
-    }
-    let warm_total_ms = t0.elapsed().as_secs_f64() * 1e3;
+                .expect("warm tuned query runs")
+        })
+        .collect();
     let tuned_warm_sim_ms = warm.sim_ms() - sim0;
     let sim0 = plain.sim_ms();
     for (r, (init, tuned)) in inits.iter().zip(&tuned_out).enumerate() {
@@ -227,14 +220,9 @@ fn main() {
         );
     }
     let untuned_warm_sim_ms = plain.sim_ms() - sim0;
-    let warm_rps = requests as f64 / (warm_total_ms / 1e3).max(1e-12);
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let p50 = lat[lat.len() / 2];
-    let p99 = lat[(lat.len() * 99 / 100).min(lat.len() - 1)];
     let warm_stats = warm.cache_stats().expect("cache enabled");
     println!(
-        "\nwarm cached  {warm_rps:8.1} req/s  total {warm_total_ms:.3}ms  \
-         p50 {p50:.4}ms p99 {p99:.4}ms  (cache hit rate {:.0}%)",
+        "\nwarm cached  cache hit rate {:.0}%",
         warm_stats.hit_rate() * 100.0
     );
     println!(
@@ -263,8 +251,6 @@ fn main() {
          \"suite_default_ms\": {default_total:.4},\n    \"suite_tuned_ms\": {tuned_total:.4},\n    \
          \"warm_cached\": {{\n      \"requests\": {requests},\n      \
          \"samples_per_request\": {samples_per_request},\n      \
-         \"total_ms\": {warm_total_ms:.3},\n      \"throughput_rps\": {warm_rps:.1},\n      \
-         \"p50_ms\": {p50:.4},\n      \"p99_ms\": {p99:.4},\n      \
          \"cache_hit_rate\": {:.4}\n    }},\n    \
          \"untuned_warm_sim_ms\": {untuned_warm_sim_ms:.4},\n    \
          \"tuned_warm_sim_ms\": {tuned_warm_sim_ms:.4},\n    \

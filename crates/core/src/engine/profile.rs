@@ -73,9 +73,7 @@ impl KernelPhase {
 pub fn classify_kernel(name: &str) -> KernelPhase {
     match name {
         "radix_histogram" | "radix_scatter" | "scan_blocks" | "scan_uniform_add" | "histogram"
-        | "reduce_sum" | "compact_scatter" | "segment_flags" | "partition_transits" => {
-            KernelPhase::Scheduling
-        }
+        | "compact_scatter" | "segment_flags" | "partition_transits" => KernelPhase::Scheduling,
         "step_transits" => KernelPhase::Transit,
         "nextdoor_subwarp" => KernelPhase::SubWarp,
         "nextdoor_block" | "tp_block" => KernelPhase::Block,

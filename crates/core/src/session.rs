@@ -313,20 +313,9 @@ impl SamplerSession {
         self.plan_updates
     }
 
-    /// The autotuner's state, if autotuning is enabled.
-    pub fn tuner(&self) -> Option<&AutoTuner> {
-        self.tuner.as_ref()
-    }
-
     /// The hot-transit cache's counters, if the cache is enabled.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| *c.stats())
-    }
-
-    /// How many transits are currently resident in the hot-transit cache's
-    /// device arena (0 when the cache is disabled or empty).
-    pub fn cache_resident_len(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.resident().len())
     }
 
     /// Query-boundary bookkeeping: feed the tuner, refresh the plan, and

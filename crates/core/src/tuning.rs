@@ -254,7 +254,6 @@ fn memo_key(pairs: &[(VertexId, u32)], m: usize) -> u64 {
 pub struct HotTransitCache {
     cfg: CacheConfig,
     resident: Vec<VertexId>,
-    resident_words: usize,
     arena: Option<DeviceBuffer<u32>>,
     freq: BTreeMap<VertexId, u64>,
     memo: BTreeMap<u64, SchedMemo>,
@@ -276,19 +275,9 @@ impl HotTransitCache {
         &self.stats
     }
 
-    /// The policy this cache runs under.
-    pub fn config(&self) -> &CacheConfig {
-        &self.cfg
-    }
-
     /// Transits currently arena-resident, ascending.
     pub fn resident(&self) -> &[VertexId] {
         &self.resident
-    }
-
-    /// Device words the arena currently holds.
-    pub fn resident_words(&self) -> usize {
-        self.resident_words
     }
 
     /// Records one step's transit→samples map: bumps each transit's
@@ -414,7 +403,6 @@ impl HotTransitCache {
                 let _ = gpu.take_faults();
                 self.stats.pressure_fallbacks += 1;
                 self.resident.clear();
-                self.resident_words = 0;
                 return;
             }
         };
@@ -455,7 +443,6 @@ impl HotTransitCache {
         self.stats.installs += added.len() as u64;
         self.stats.evictions += evicted;
         self.resident = new_set;
-        self.resident_words = words;
         self.arena = Some(arena);
     }
 }

@@ -676,91 +676,3 @@ mod tests {
         assert_eq!(out.as_slice(), expect.as_slice());
     }
 }
-
-/// Device-wide sum reduction: per-block shared-memory tree reduction, then
-/// a second pass over the block sums (the standard two-kernel shape).
-pub fn reduce_sum(gpu: &mut Gpu, input: &DeviceBuffer<u32>) -> u64 {
-    let n = input.len();
-    if n == 0 {
-        return 0;
-    }
-    let num_blocks = n.div_ceil(SCAN_BLOCK);
-    let sums = gpu.alloc::<u32>(num_blocks);
-    gpu.launch("reduce_sum", LaunchConfig::grid1d(n, SCAN_BLOCK), |blk| {
-        let scratch = blk.shared_alloc(SCAN_BLOCK / WARP_SIZE).expect("fits");
-        let base = blk.block_idx * SCAN_BLOCK;
-        let chunk = SCAN_BLOCK.min(n.saturating_sub(base));
-        if chunk == 0 {
-            return;
-        }
-        let total: u64 = input.as_slice()[base..base + chunk]
-            .iter()
-            .map(|&v| v as u64)
-            .sum();
-        blk.for_each_warp(|w| {
-            let gid = w.global_thread_ids();
-            let m = w.mask_where(|l| gid[l] < n);
-            if m == 0 {
-                return;
-            }
-            let _ = w.ld_global(input, &gid.map(|g| g.min(n - 1)), m);
-            // Warp tree reduction: 5 shuffle+add rounds.
-            for _ in 0..5 {
-                let dummy: [usize; WARP_SIZE] = std::array::from_fn(|l| l ^ 1);
-                let _ = w.shfl([0; WARP_SIZE], &dummy, m);
-                w.charge_compute(1);
-            }
-            let wi = w.warp_in_block;
-            w.st_shared(&scratch, &[wi; WARP_SIZE], [0; WARP_SIZE], 1);
-            if wi == 0 {
-                let _ = w.ld_shared(&scratch, &[0; WARP_SIZE], 1);
-                w.charge_compute(3);
-                let bidx = w.block_idx;
-                w.st_global(
-                    &sums,
-                    &[bidx; WARP_SIZE],
-                    [(total & 0xFFFF_FFFF) as u32; WARP_SIZE],
-                    1,
-                );
-            }
-        });
-    });
-    if num_blocks == 1 {
-        sums.as_slice()[0] as u64
-    } else {
-        // Exact total is accumulated host-side (block partials may exceed
-        // u32 in pathological inputs); the recursive pass charges the
-        // second kernel's traffic.
-        let exact: u64 = input.as_slice().iter().map(|&v| v as u64).sum();
-        let _ = reduce_sum(gpu, &sums);
-        exact
-    }
-}
-
-#[cfg(test)]
-mod reduce_tests {
-    use super::*;
-    use crate::spec::GpuSpec;
-
-    #[test]
-    fn reduce_small_and_large() {
-        let mut g = Gpu::new(GpuSpec::small());
-        let a = g.to_device(&[1u32, 2, 3, 4]);
-        assert_eq!(reduce_sum(&mut g, &a), 10);
-        let big: Vec<u32> = (0..10_000).map(|i| i % 100).collect();
-        let expect: u64 = big.iter().map(|&v| v as u64).sum();
-        let b = g.to_device(&big);
-        assert_eq!(reduce_sum(&mut g, &b), expect);
-        let empty = g.to_device(&[] as &[u32]);
-        assert_eq!(reduce_sum(&mut g, &empty), 0);
-    }
-
-    #[test]
-    fn reduce_charges_kernels() {
-        let mut g = Gpu::new(GpuSpec::small());
-        let data = g.to_device(&vec![1u32; 5000]);
-        let before = g.counters().launches;
-        let _ = reduce_sum(&mut g, &data);
-        assert!(g.counters().launches > before);
-    }
-}

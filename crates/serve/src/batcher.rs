@@ -44,7 +44,6 @@ use crate::server::RequestOutcome;
 use crate::trace::{Obs, Span, SpanKind, Tracer};
 use nextdoor_core::api::SamplingApp;
 use nextdoor_core::session::{ClassMark, FusedResult, SamplerSession, SessionQuery};
-use nextdoor_core::tuning::{CacheConfig, TunerConfig};
 use nextdoor_core::{validate_run, EngineStats, FaultReport, SampleStore};
 use nextdoor_gpu::GpuSpec;
 use nextdoor_graph::{Csr, VertexId};
@@ -233,10 +232,6 @@ pub trait Backend {
         batch_seq: u64,
         obs: &mut Obs,
     ) -> Result<FusedResult, ServeError>;
-
-    /// Runs after each batch's request spans are recorded. The default
-    /// does nothing.
-    fn after_batch(&mut self, _obs: &mut Obs) {}
 }
 
 /// Records one [`SpanKind::ClassLaunch`] span per width class of a
@@ -316,32 +311,6 @@ impl Backend for SamplerSession {
             Err(_) => obs.metrics.sim.failed += queries.len() as u64,
         }
         res.map_err(ServeError::Sampling)
-    }
-
-    /// Copies the session's tuner/cache counters into the metrics registry
-    /// and emits a [`SpanKind::CacheInstall`] span whenever a maintenance
-    /// pass changed the resident set — at the same query boundary where
-    /// the session itself retunes.
-    fn after_batch(&mut self, obs: &mut Obs) {
-        let t = &mut obs.metrics.tuning;
-        t.plan_updates = self.plan_updates();
-        let Some(s) = self.cache_stats() else {
-            return;
-        };
-        let installs_changed = s.installs != t.installs || s.evictions != t.evictions;
-        t.cache_hits = s.hits;
-        t.cache_misses = s.misses;
-        t.installs = s.installs;
-        t.evictions = s.evictions;
-        t.pressure_fallbacks = s.pressure_fallbacks;
-        t.sched_reuses = s.sched_reuses;
-        t.sched_builds = s.sched_builds;
-        if installs_changed {
-            obs.trace.push(
-                Span::instant(SpanKind::CacheInstall, self.sim_ms())
-                    .batch_size(self.cache_resident_len()),
-            );
-        }
     }
 }
 
@@ -564,7 +533,6 @@ impl<B: Backend> Batcher<B> {
                     .batch_size(batch.len()),
             );
             self.run_batch(batch, &mut out);
-            self.backend.after_batch(&mut self.obs);
         }
         out
     }
@@ -801,25 +769,15 @@ impl MicroBatcher {
         self.obs.metrics.sim.class_launches
     }
 
-    /// Enables profile-guided autotuning and the cross-query hot-transit
-    /// cache on the underlying session (see
-    /// [`nextdoor_core::tuning`]). The batcher harvests the resulting
-    /// counters into [`ServeMetrics::tuning`] after every served batch and
-    /// traces cache maintenance as [`SpanKind::CacheInstall`] spans.
-    /// Samples are unaffected — tuning moves only cost, so responses stay
-    /// bit-identical to an untuned batcher's.
-    pub fn enable_tuning(&mut self, tuner: TunerConfig, cache: CacheConfig) {
-        self.backend.enable_autotune(tuner);
-        self.backend.enable_hot_cache(cache);
-    }
-
-    /// The underlying warm session.
+    /// The underlying warm session, which alone holds any tuner and cache
+    /// counters ([`SamplerSession::cache_stats`]).
     pub fn session(&self) -> &SamplerSession {
         &self.backend
     }
 
     /// Mutable access to the underlying session (e.g. to inject a fault
-    /// plan between drains).
+    /// plan between drains, or to enable autotuning and the hot-transit
+    /// cache).
     pub fn session_mut(&mut self) -> &mut SamplerSession {
         &mut self.backend
     }
@@ -828,9 +786,9 @@ impl MicroBatcher {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::TuningMetrics;
     use crate::replica::{PoolConfig, ReplicaPool};
     use nextdoor_apps::KHop;
+    use nextdoor_core::tuning::{CacheConfig, TunerConfig};
     use nextdoor_core::NextDoorError;
     use nextdoor_graph::gen::{rmat, RmatParams};
 
@@ -1151,10 +1109,9 @@ mod tests {
     #[test]
     fn tuned_batcher_matches_untuned_and_reports_counters() {
         let mut tuned = batcher(ServeConfig::default());
-        tuned.enable_tuning(
-            TunerConfig { warmup_queries: 1 },
-            CacheConfig { min_hits: 1 },
-        );
+        let session = tuned.session_mut();
+        session.enable_autotune(TunerConfig { warmup_queries: 1 });
+        session.enable_hot_cache(CacheConfig { min_hits: 1 });
         let mut plain = batcher(ServeConfig::default());
         for round in 0..4u64 {
             for s in 0..3u64 {
@@ -1174,19 +1131,14 @@ mod tests {
                 );
             }
         }
-        let t = tuned.metrics().tuning;
+        let t = tuned.session().cache_stats().expect("cache enabled");
         assert!(t.installs > 0, "repeated transits should be promoted");
-        assert!(t.cache_hits + t.cache_misses > 0);
+        assert!(t.hits + t.misses > 0);
         assert!(t.sched_builds > 0);
-        assert!(
-            tuned.trace().count(SpanKind::CacheInstall) > 0,
-            "maintenance passes are traced"
-        );
         assert_eq!(
-            plain.metrics().tuning,
-            TuningMetrics::default(),
-            "an untuned batcher reports all-zero tuning counters"
+            plain.session().cache_stats(),
+            None,
+            "an untuned batcher's session keeps no cache"
         );
-        assert!(tuned.metrics().to_json("t").contains("\"tuning\""));
     }
 }

@@ -9,7 +9,10 @@
 //! 1. [`SamplerSession`](nextdoor_core::session::SamplerSession)
 //!    (in `nextdoor-core`) — uploads the graph once and answers many
 //!    queries, including *fused* multi-query batches that are bit-identical
-//!    to standalone runs.
+//!    to standalone runs. The session alone owns its optional autotuner and
+//!    hot-transit cache; a [`MicroBatcher`] tunes it through
+//!    [`MicroBatcher::session_mut`] and reads its counters through
+//!    [`MicroBatcher::session`].
 //! 2. [`Batcher`] — the one front door: deterministic admission control
 //!    (bounded queue, eager input + config validation), width-class batch
 //!    formation with earliest-deadline-first scheduling ([`Priority`]
@@ -35,9 +38,10 @@
 //! 5. [`ShardedPool`] — the sharded tier: the graph **partitioned** across
 //!    N devices instead of replicated, with partition-aware request
 //!    routing, cross-shard walker hand-off in deterministic super-steps,
-//!    and typed [`ServeError::ShardLost`] shedding when a request's home
-//!    shard's device is lost (a shard is alive or lost; it has no
-//!    breaker). Samples stay bit-identical to single-device runs.
+//!    and typed [`ServeError::ShardLost`] shedding, traced as
+//!    [`SpanKind::ShardLost`], when a request's home shard's device is lost
+//!    (a shard is alive or lost; it has no breaker). Samples stay
+//!    bit-identical to single-device runs.
 //!
 //! ```
 //! use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
@@ -102,8 +106,8 @@ pub use batcher::{
 pub use error::ServeError;
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use metrics::{
-    Histogram, PriorityMetrics, ServeMetrics, SimMetrics, TuningMetrics, DEPTH_BOUNDS,
-    LATENCY_BOUNDS_MS, SIZE_BOUNDS, WIDTH_BOUNDS,
+    Histogram, PriorityMetrics, ServeMetrics, SimMetrics, DEPTH_BOUNDS, LATENCY_BOUNDS_MS,
+    SIZE_BOUNDS, WIDTH_BOUNDS,
 };
 pub use replica::{FleetBatcher, FleetReport, PoolConfig, ReplicaPool, ReplicaStats};
 pub use server::{BatchEngine, RequestOutcome, SampleServer, ServeClient, Ticket};

@@ -304,69 +304,6 @@ impl SimMetrics {
     }
 }
 
-/// Autotuner and hot-transit-cache counters harvested from the batcher's
-/// session after each drain (see
-/// [`SamplerSession::cache_stats`](nextdoor_core::session::SamplerSession::cache_stats)).
-/// Deterministic — every field derives from the session's query history —
-/// but kept **beside** [`SimMetrics`] rather than inside it so the
-/// long-standing serve digests stay stable; tuned-session goldens pin this
-/// block separately.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TuningMetrics {
-    /// Transit segments served with their adjacency arena-resident.
-    pub cache_hits: u64,
-    /// Transit segments served without residency.
-    pub cache_misses: u64,
-    /// Transits promoted into the session arena.
-    pub installs: u64,
-    /// Transits demoted out of the session arena.
-    pub evictions: u64,
-    /// Maintenance passes that fell back to the uncached path for lack of
-    /// device memory.
-    pub pressure_fallbacks: u64,
-    /// Steps whose scheduling index was reused from the session memo.
-    pub sched_reuses: u64,
-    /// Steps whose scheduling index was built on the device.
-    pub sched_builds: u64,
-    /// Times the autotuner changed the active [`TuningPlan`](nextdoor_core::tuning::TuningPlan).
-    pub plan_updates: u64,
-}
-
-impl TuningMetrics {
-    /// `cache_hits / (cache_hits + cache_misses)`, or `None` before any
-    /// segment was served.
-    ///
-    /// ```
-    /// use nextdoor_serve::TuningMetrics;
-    /// let mut t = TuningMetrics::default();
-    /// assert_eq!(t.hit_rate(), None);
-    /// t.cache_hits = 3;
-    /// t.cache_misses = 1;
-    /// assert_eq!(t.hit_rate(), Some(0.75));
-    /// ```
-    pub fn hit_rate(&self) -> Option<f64> {
-        let n = self.cache_hits + self.cache_misses;
-        (n > 0).then(|| self.cache_hits as f64 / n as f64)
-    }
-
-    fn to_json(self) -> String {
-        format!(
-            "{{\"cache_hits\":{},\"cache_misses\":{},\"installs\":{},\"evictions\":{},\
-             \"pressure_fallbacks\":{},\"sched_reuses\":{},\"sched_builds\":{},\
-             \"plan_updates\":{},\"hit_rate\":{}}}",
-            self.cache_hits,
-            self.cache_misses,
-            self.installs,
-            self.evictions,
-            self.pressure_fallbacks,
-            self.sched_reuses,
-            self.sched_builds,
-            self.plan_updates,
-            opt_json_f64(self.hit_rate()),
-        )
-    }
-}
-
 fn pidx(p: Priority) -> usize {
     match p {
         Priority::Low => 0,
@@ -386,10 +323,6 @@ const PRIORITY_NAMES: [&str; 3] = ["low", "normal", "high"];
 pub struct ServeMetrics {
     /// Simulated-clock counters and histograms (the digest-covered block).
     pub sim: SimMetrics,
-    /// Autotuner and session-cache counters (deterministic; pinned by the
-    /// tuned-session goldens rather than [`ServeMetrics::digest`], which
-    /// predates tuning).
-    pub tuning: TuningMetrics,
     /// Wall-clock end-to-end latency (ms) as observed by the server's
     /// scheduler thread. Machine- and load-dependent: excluded from
     /// [`ServeMetrics::digest`].
@@ -407,7 +340,6 @@ impl ServeMetrics {
     pub fn new() -> Self {
         ServeMetrics {
             sim: SimMetrics::new(),
-            tuning: TuningMetrics::default(),
             wall_ms: Histogram::new(&LATENCY_BOUNDS_MS),
         }
     }
@@ -484,10 +416,9 @@ impl ServeMetrics {
         format!(
             "{{\n  \"schema\": \"nextdoor-serve-metrics-v1\",\n  \"label\": \"{}\",\n  \
              \"counters\": {counters},\n  \"histograms\": {histograms},\n  \
-             \"per_priority\": {{{}}},\n  \"tuning\": {},\n  \"wall_ms\": {}\n}}\n",
+             \"per_priority\": {{{}}},\n  \"wall_ms\": {}\n}}\n",
             json_escape(label),
             per_priority.join(","),
-            self.tuning.to_json(),
             self.wall_ms.to_json(),
         )
     }
@@ -572,8 +503,6 @@ mod tests {
         assert!(j.contains("\"schema\": \"nextdoor-serve-metrics-v1\""));
         assert!(j.contains("unit \\\"test\\\""));
         assert!(j.contains("\"per_priority\""));
-        assert!(j.contains("\"tuning\""));
-        assert!(j.contains("\"hit_rate\":null"));
         assert!(j.contains("\"wall_ms\""));
         assert!(j.contains("\"slo_attainment\":null"));
         assert!(j.trim_start().starts_with('{') && j.trim_end().ends_with('}'));

@@ -27,7 +27,9 @@
 //! **Observability**: each dispatch records a [`SpanKind::Dispatch`] span
 //! plus per-super-step [`SpanKind::SuperStep`] spans (one per shard that
 //! held walkers, on that shard's replica track) and instant
-//! [`SpanKind::Handoff`] markers for every exchange edge; the metrics
+//! [`SpanKind::Handoff`] markers for every exchange edge; a lost-shard
+//! shed is an instant [`SpanKind::ShardLost`] span tagged with the home
+//! shard, distinct from the batcher's capacity sheds; the metrics
 //! registry counts `handoffs`, `super_steps` and `shard_shed`; and
 //! [`ShardedPool::report`] reads those counters into the same
 //! [`FleetReport`] the chaos harness golden-pins for the replicated tier.
@@ -201,7 +203,7 @@ impl ShardedPool {
             if self.sampler.shard_lost(home) {
                 self.obs.metrics.sim.shard_shed += 1;
                 self.obs.trace.push(
-                    Span::instant(SpanKind::OverloadShed, start_ms)
+                    Span::instant(SpanKind::ShardLost, start_ms)
                         .batch(batch)
                         .replica(home),
                 );

@@ -8,7 +8,7 @@
 //! (per width class: a fused launch sequence; per attempt on a replicated
 //! pool: replica service, retry/backoff) → completion, or one of
 //! the shed exits (queue-full rejection, deadline expiry, degraded-mode
-//! overload shed). Each phase is a [`SpanKind`]; instantaneous events are
+//! overload shed, lost-shard shed). Each phase is a [`SpanKind`]; instantaneous events are
 //! spans with `start_ms == end_ms`. Spans carry the ids needed to join
 //! them — request id, batch sequence number, replica index — plus the
 //! **half-open device launch-index range** their work produced
@@ -79,10 +79,9 @@ pub enum SpanKind {
     /// (instant): `replica` is the source shard, `width` the destination
     /// shard, `batch_size` the walkers moved.
     Handoff,
-    /// The session's hot-transit cache was (re)installed into its device
-    /// arena after a query (instant). `batch_size` carries the number of
-    /// resident transits after the pass.
-    CacheInstall,
+    /// A query was shed because its home shard is lost (instant; sharded
+    /// pool only): `replica` is the lost home shard.
+    ShardLost,
 }
 
 /// One recorded lifecycle phase. Identity fields are `None` when the
@@ -282,7 +281,7 @@ fn is_instant(kind: SpanKind) -> bool {
             | SpanKind::OverloadShed
             | SpanKind::DeadlineMiss
             | SpanKind::Handoff
-            | SpanKind::CacheInstall
+            | SpanKind::ShardLost
     )
 }
 
@@ -293,7 +292,7 @@ fn span_tid(s: &Span) -> usize {
         | SpanKind::Backoff
         | SpanKind::CooldownWait
         | SpanKind::OverloadShed
-        | SpanKind::CacheInstall => TID_SCHEDULER,
+        | SpanKind::ShardLost => TID_SCHEDULER,
         SpanKind::Attempt | SpanKind::ClassLaunch | SpanKind::SuperStep | SpanKind::Handoff => {
             match s.replica {
                 Some(r) => TID_REPLICA_BASE + r,
@@ -324,7 +323,7 @@ fn span_name(kind: SpanKind) -> &'static str {
         SpanKind::Completion => "request",
         SpanKind::SuperStep => "super-step",
         SpanKind::Handoff => "handoff",
-        SpanKind::CacheInstall => "cache-install",
+        SpanKind::ShardLost => "shard-lost",
     }
 }
 

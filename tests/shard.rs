@@ -11,7 +11,8 @@
 //!   never its value (property-based, below);
 //! * **conservation**: every walker hand-off is visible exactly once in
 //!   the super-step marks, the serving-tier `Handoff` spans, the metrics
-//!   registry and the `FleetReport` — the four views agree to the walker;
+//!   registry and the `FleetReport`, and each view matches an independent
+//!   replay of the same queries to the walker;
 //! * **typed degradation**: queries homed on a lost shard are shed with
 //!   `ServeError::ShardLost` while survivors keep serving, and a shard that
 //!   absorbs and retries faults keeps serving the queries homed on it.
@@ -144,7 +145,7 @@ fn handoffs_agree_across_marks_spans_metrics_and_report() {
     let graph = rmat(8, 2000, RmatParams::SKEWED, 3);
     let mut pool = ShardedPool::new(
         GpuSpec::small(),
-        graph,
+        graph.clone(),
         Box::new(KHop::new(vec![3, 2])),
         ShardPoolConfig {
             num_shards: 4,
@@ -160,6 +161,19 @@ fn handoffs_agree_across_marks_spans_metrics_and_report() {
         .collect();
     let d = pool.dispatch(&queries).unwrap();
     assert!(d.handoffs > 0, "4 shards over an R-MAT graph must hand off");
+    // The pool's dispatch, registry and report all read one fused run, so
+    // they are checked against an independent replay of the same queries
+    // on the same placement.
+    let replay = ShardedSampler::new(
+        GpuSpec::small(),
+        graph,
+        Box::new(KHop::new(vec![3, 2])),
+        4,
+        ShardPoolConfig::default().placement_seed,
+    )
+    .unwrap()
+    .query_fused(&queries)
+    .unwrap();
 
     let span_walkers: u64 = pool
         .trace()
@@ -169,23 +183,22 @@ fn handoffs_agree_across_marks_spans_metrics_and_report() {
         .map(|s| s.batch_size.expect("handoff spans carry walker counts") as u64)
         .sum();
     let report = pool.report();
-    assert_eq!(span_walkers, d.handoffs, "spans vs dispatch");
-    assert_eq!(report.handoffs, d.handoffs, "report vs dispatch");
+    assert_eq!(d.handoffs, replay.handoffs, "dispatch vs replay");
+    assert_eq!(span_walkers, replay.handoffs, "spans vs replay");
+    assert_eq!(report.handoffs, replay.handoffs, "report vs replay");
     assert_eq!(
         pool.metrics().sim.handoffs,
-        d.handoffs,
-        "metrics vs dispatch"
+        replay.handoffs,
+        "metrics vs replay"
     );
     assert_eq!(
         report.handoff_bytes,
-        d.handoffs * nextdoor::core::sharded::HANDOFF_BYTES_PER_WALKER,
+        replay.handoffs * nextdoor::core::sharded::HANDOFF_BYTES_PER_WALKER,
         "every hand-off is charged the same wire cost"
     );
-    assert_eq!(
-        pool.metrics().sim.super_steps,
-        report.super_steps,
-        "metrics and report agree on super-steps"
-    );
+    let steps = replay.super_steps.len() as u64;
+    assert_eq!(pool.metrics().sim.super_steps, steps, "metrics vs replay");
+    assert_eq!(report.super_steps, steps, "report vs replay");
     assert!(
         pool.trace().count(SpanKind::Handoff) + pool.trace().count(SpanKind::SuperStep) > 0,
         "the trace carries super-step and hand-off spans"
@@ -254,6 +267,12 @@ fn lost_shard_sheds_typed_while_survivors_serve() {
     let served = d.results[1].as_ref().expect("survivor query serves");
     assert_eq!(pool.metrics().sim.shard_shed, 1);
     assert_eq!(pool.report().shed, 1);
+    assert_eq!(pool.trace().count(SpanKind::ShardLost), 1);
+    assert_eq!(
+        pool.trace().count(SpanKind::OverloadShed),
+        0,
+        "a lost-shard shed is not a capacity shed"
+    );
 
     // The survivor's samples may still cross into the dead shard and lose
     // walkers there — but they are deterministic: a replayed pool with the
