@@ -44,8 +44,10 @@ fn main() {
         let full =
             run_nextdoor(&mut g_full, &graph, app.as_ref(), &init, cfg.seed).expect("bench run");
         let mut spec_nocache = cfg.gpu.clone();
-        // Just enough shared memory for the sort's 256-word counters, but
-        // effectively nothing left for adjacency caches.
+        // Just enough shared memory for the multi-tile sort's 256-word
+        // counters, but effectively nothing left for adjacency caches. The
+        // single-tile sort's 20 KiB scratch spills to global memory here,
+        // so this column's index also costs a little more.
         spec_nocache.shared_mem_per_block = 1152;
         let mut g_nc = Gpu::new(spec_nocache);
         let nocache =

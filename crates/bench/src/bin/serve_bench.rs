@@ -8,20 +8,23 @@
 //!    sessions);
 //! 2. **warm per-request** — one [`SamplerSession`] answers each request
 //!    alone (upload amortised, no fusion);
-//! 3. **warm fused** — a [`SampleServer`] under open-loop load (all
-//!    requests submitted up front), so the scheduler coalesces them into
-//!    fused launches of up to `max_batch`.
+//! 3. **warm fused** — the same session behind a [`MicroBatcher`] under
+//!    open-loop load: every request is submitted up front and one `drain`
+//!    coalesces them into fused launches of up to `max_batch`.
 //!
 //! All three legs must produce bit-identical samples per request — fusion
 //! and session reuse are pure throughput levers. The fused leg reports the
 //! simulated-clock latency split (queued vs service) that the serving layer
 //! carves from the device's counter/profile machinery. The one gate is on
 //! the simulated clock: the fused leg must spend less device time than the
-//! warm per-request leg. Only how the server happens to coalesce requests
-//! varies between runs, and even all-singleton batches would merely tie.
-//! Host wall-clock costs are the end-to-end benchmark's to measure, over
-//! repeated runs (`session.cold_warm_ratio`, and `wall_verts_per_s` on its
-//! `serve-open` workload); one run of this binary cannot resolve them.
+//! warm per-request leg. The fused leg drives the batcher directly, as
+//! `chaos_bench`, `shard_bench` and `load_bench` do, so its batches — and
+//! every number this binary writes — are the same on every run; the
+//! threaded `SampleServer`, whose burst collection follows host timing, is
+//! covered by `tests/serve.rs` and the end-to-end benchmark. Host
+//! wall-clock costs are that benchmark's to measure, over repeated runs
+//! (`session.cold_warm_ratio`, and `wall_verts_per_s` on its `serve-open`
+//! workload); one run of this binary cannot resolve them.
 
 use nextdoor_bench::BenchConfig;
 use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
@@ -30,7 +33,8 @@ use nextdoor_core::session::SamplerSession;
 use nextdoor_core::SampleStore;
 use nextdoor_gpu::Gpu;
 use nextdoor_graph::{Dataset, VertexId};
-use nextdoor_serve::{MicroBatcher, Request, SampleServer, ServeConfig};
+use nextdoor_serve::{MicroBatcher, Request, ServeConfig};
+use std::collections::HashMap;
 
 struct Walk(usize);
 impl SamplingApp for Walk {
@@ -118,29 +122,31 @@ fn main() {
     let fused_sim0 = session.sim_ms();
     let warm_sim_ms = fused_sim0 - warm_sim0;
 
-    // Leg 3: warm fused — open-loop load on the micro-batching server.
+    // Leg 3: warm fused — every request queued up front, then one drain.
     let serve_cfg = ServeConfig {
         max_batch: 8,
         max_queue: requests,
         default_deadline_ms: None,
     };
-    let server = SampleServer::start(
-        MicroBatcher::new(session, serve_cfg).expect("bench serve config is valid"),
-    );
-    let client = server.client();
-    let tickets: Vec<_> = inits
+    let mut batcher = MicroBatcher::new(session, serve_cfg).expect("bench serve config is valid");
+    let ids: Vec<_> = inits
         .iter()
         .enumerate()
         .map(|(r, init)| {
-            let req = Request::new(init.clone(), seed_of(r));
-            client.submit(req).expect("server accepts while running")
+            batcher
+                .submit(Request::new(init.clone(), seed_of(r)))
+                .expect("the queue holds every request")
         })
         .collect();
+    let mut served: HashMap<_, _> = batcher.drain().into_iter().collect();
     let mut sim_queued = Vec::with_capacity(requests);
     let mut sim_service = Vec::with_capacity(requests);
     let mut batch_sizes = Vec::with_capacity(requests);
-    for (r, ticket) in tickets.into_iter().enumerate() {
-        let resp = ticket.wait().expect("fused request succeeds");
+    for (r, id) in ids.iter().enumerate() {
+        let resp = served
+            .remove(id)
+            .expect("every request has an outcome")
+            .expect("fused request succeeds");
         sim_queued.push(resp.latency.queued_ms);
         sim_service.push(resp.latency.service_ms);
         batch_sizes.push(resp.latency.batch_size);
@@ -150,7 +156,6 @@ fn main() {
             "fused batch diverged from cold run on request {r}"
         );
     }
-    let batcher = server.shutdown();
     let fused_sim_ms = batcher.session().sim_ms() - fused_sim0;
     cfg.export_fleet_obs(
         "serve",

@@ -17,8 +17,8 @@ use nextdoor_gpu::{summarize_kernels, Counters, Gpu, GpuSpec};
 /// Which stage of the sampling pipeline a kernel implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPhase {
-    /// Scheduling-index construction: radix sort, scans, compaction and
-    /// the class partition (Figure 6's second component).
+    /// Scheduling-index construction: radix sort, run-length pass, scans
+    /// and the class partition (Figure 6's second component).
     Scheduling,
     /// The `stepTransits` kernel reading the previous step's vertices.
     Transit,
@@ -72,8 +72,9 @@ impl KernelPhase {
 /// Classifies a kernel launch name into its pipeline phase.
 pub fn classify_kernel(name: &str) -> KernelPhase {
     match name {
-        "radix_histogram" | "radix_scatter" | "scan_blocks" | "scan_uniform_add" | "histogram"
-        | "compact_scatter" | "segment_flags" | "partition_transits" => KernelPhase::Scheduling,
+        "radix_single_tile" | "radix_histogram" | "radix_scan_bins" | "radix_scatter"
+        | "scan_init" | "scan_tiles" | "rle_init" | "rle_sweep" | "histogram"
+        | "partition_transits" => KernelPhase::Scheduling,
         "step_transits" => KernelPhase::Transit,
         "nextdoor_subwarp" => KernelPhase::SubWarp,
         "nextdoor_block" | "tp_block" => KernelPhase::Block,
@@ -228,8 +229,15 @@ mod tests {
 
     #[test]
     fn classification_covers_engine_kernels() {
-        assert_eq!(classify_kernel("radix_scatter"), KernelPhase::Scheduling);
-        assert_eq!(classify_kernel("segment_flags"), KernelPhase::Scheduling);
+        for name in [
+            "radix_single_tile",
+            "radix_scan_bins",
+            "scan_tiles",
+            "rle_sweep",
+        ] {
+            assert_eq!(classify_kernel(name), KernelPhase::Scheduling, "{name}");
+        }
+        assert_eq!(classify_kernel("segment_flags"), KernelPhase::Other);
         assert_eq!(classify_kernel("step_transits"), KernelPhase::Transit);
         assert_eq!(classify_kernel("nextdoor_subwarp"), KernelPhase::SubWarp);
         assert_eq!(classify_kernel("nextdoor_block"), KernelPhase::Block);

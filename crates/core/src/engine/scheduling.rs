@@ -1,14 +1,26 @@
 //! Scheduling-index construction (paper §6.1.2, measured in Figure 6).
 //!
 //! At every step NextDoor inverts the sample→transit relation into a
-//! transit→samples map: it sorts the `(transit, sample-slot)` pairs by
-//! transit with a parallel radix sort, finds segment boundaries with a
-//! parallel scan, and partitions the transit vertices into the three kernel
-//! classes by the number of threads each needs. All three stages run as
-//! simulated kernels so their cost is measured, not assumed.
+//! transit→samples map, with the CUB primitives of
+//! [`nextdoor_gpu::algorithms`]:
+//!
+//! 1. a stable radix sort of the `(transit, sample-slot)` pairs by transit
+//!    (`DeviceRadixSort`): one launch while the pairs fit one tile;
+//! 2. one run-length pass over the sorted transits
+//!    (`DeviceRunLengthEncode::Encode`), giving each transit's segment
+//!    length: two launches;
+//! 3. a single-pass scan of those lengths for the segment starts
+//!    (`DeviceScan`): two launches;
+//! 4. the partition of the transits into the three kernel classes by the
+//!    threads each needs, [`partition_kernel_classes`]: one classification
+//!    launch and a single-pass scan.
+//!
+//! A step of at most 4,864 pairs thus builds its index and classes in 8
+//! launches. Every stage runs as simulated kernels, so its cost is
+//! measured, not assumed.
 
 use crate::api::NULL_VERTEX;
-use nextdoor_gpu::algorithms::{compact, exclusive_scan, radix_sort_pairs};
+use nextdoor_gpu::algorithms::{exclusive_scan, radix_sort_pairs, run_length_encode};
 use nextdoor_gpu::{Gpu, LaunchConfig, OutOfMemory, WARP_SIZE};
 use nextdoor_graph::VertexId;
 
@@ -48,8 +60,10 @@ pub struct KernelClasses {
 /// `pairs` holds `(transit, pair_id)` with NULL transits already removed;
 /// `num_vertices` bounds the radix-sort key range. Any bound above the
 /// largest transit works: a tighter one (the tuner's `tight_key_range`,
-/// see [`TuningPlan`](crate::tuning::TuningPlan)) can only shed whole radix
-/// passes, and the sort is stable, so the index is identical.
+/// see [`TuningPlan`](crate::tuning::TuningPlan)) can only shed digit
+/// passes, and the sort is stable, so the index is identical. A shed pass
+/// saves cycles inside the one launch of a single-tile sort, and three
+/// launches of a multi-tile one.
 ///
 /// # Errors
 ///
@@ -71,41 +85,19 @@ pub fn build_scheduling_index(
     let keys = gpu.try_to_device(&keys_host)?;
     let vals = gpu.try_to_device(&vals_host)?;
     let (sorted_keys, sorted_vals) = radix_sort_pairs(gpu, &keys, &vals, max_key);
-    // Segment-boundary flags: position i starts a new transit group.
-    let n = pairs.len();
-    let flags = gpu.try_alloc::<u32>(n)?;
-    let iota: Vec<u32> = (0..n as u32).collect();
-    let iota_dev = gpu.try_to_device(&iota)?;
-    gpu.launch("segment_flags", LaunchConfig::grid1d(n, 256), |blk| {
-        blk.for_each_warp(|w| {
-            let gid = w.global_thread_ids();
-            let m = w.mask_where(|l| gid[l] < n);
-            if m == 0 {
-                return;
-            }
-            let safe = gid.map(|g| g.min(n - 1));
-            let cur = w.ld_global(&sorted_keys, &safe, m);
-            let prev = w.ld_global(&sorted_keys, &safe.map(|g| g.saturating_sub(1)), m);
-            let f = w.lanes_from_fn(m, |l| u32::from(safe[l] == 0 || cur[l] != prev[l]));
-            w.st_global(&flags, &safe, f, m);
-        });
-    });
-    let (starts_dev, _num_segments) = compact(gpu, &iota_dev, &flags);
-    let starts = starts_dev.as_slice();
-    let sk = sorted_keys.as_slice();
-    let mut segments = Vec::with_capacity(starts.len());
-    for (i, &st) in starts.iter().enumerate() {
-        let end = if i + 1 < starts.len() {
-            starts[i + 1] as usize
-        } else {
-            n
-        };
-        segments.push(TransitSegment {
-            transit: sk[st as usize],
-            start: st as usize,
-            count: end - st as usize,
-        });
-    }
+    let (transits, counts) = run_length_encode(gpu, &sorted_keys);
+    let (starts, _) = exclusive_scan(gpu, &counts);
+    let segments = transits
+        .as_slice()
+        .iter()
+        .zip(counts.as_slice())
+        .zip(starts.as_slice())
+        .map(|((&transit, &count), &start)| TransitSegment {
+            transit,
+            start: start as usize,
+            count: count as usize,
+        })
+        .collect();
     Ok(SchedulingIndex {
         sorted_pair_ids: sorted_vals.as_slice().to_vec(),
         segments,
@@ -140,8 +132,8 @@ pub fn partition_kernel_classes(
         return Ok(classes);
     }
     // The classification pass: one thread per transit reads its count and
-    // writes a class id; the subsequent scan-compactions are charged as one
-    // pass (they share the same traffic shape as `compact`).
+    // writes a class id; one single-pass scan of the ids stands for the
+    // three class compactions.
     let counts: Vec<u32> = index.segments.iter().map(|s| s.count as u32).collect();
     let counts_dev = gpu.try_to_device(&counts)?;
     let class_dev = gpu.try_alloc::<u32>(n)?;
@@ -262,15 +254,44 @@ mod tests {
         assert_eq!(classes.grid.len(), 2);
     }
 
+    /// Launches of one index build plus its class partition over `n`
+    /// pairs whose key bound needs `passes` digit passes, in closed form:
+    /// the sort (none for one pair, one launch up to a 4,864-key tile, three
+    /// per pass above), the run-length pass and the scan of its lengths (two
+    /// each), and the partition (a classification launch and a scan).
+    fn index_launches(n: usize, passes: u64) -> u64 {
+        let sort = match n {
+            0 | 1 => 0,
+            2..=4864 => 1,
+            _ => 3 * passes,
+        };
+        if n == 0 {
+            0
+        } else {
+            sort + 2 + 2 + 1 + 2
+        }
+    }
+
     #[test]
     fn scheduling_charges_kernels() {
-        let mut g = gpu();
-        let pairs: Vec<(u32, u32)> = (0..500).map(|i| (i % 50, i)).collect();
-        let before = g.counters().launches;
-        let _ = build_scheduling_index(&mut g, &pairs, 64);
-        assert!(
-            g.counters().launches >= before + 4,
-            "sort passes + flags + compact all launch kernels"
-        );
+        // A walk-epoch step: 512 pairs with 14-bit transit ids.
+        assert_eq!(index_launches(512, 2), 8);
+        let bounds = [(1, 1 << 8), (2, 1 << 14), (3, 1 << 24), (4, 1 << 25)];
+        for n in [0, 1, 2, 31, 512, 4864, 4865, 3 * 2048, 3 * 4864] {
+            for (passes, num_vertices) in bounds {
+                let mut g = gpu();
+                let pairs: Vec<(u32, u32)> = (0..n as u32)
+                    .map(|i| (i.wrapping_mul(2_654_435_761) % num_vertices, i))
+                    .collect();
+                let before = g.counters().launches;
+                let idx = build_scheduling_index(&mut g, &pairs, num_vertices as usize).unwrap();
+                let _ = partition_kernel_classes(&mut g, &idx, 1, 1024).unwrap();
+                assert_eq!(
+                    g.counters().launches - before,
+                    index_launches(n, passes),
+                    "{n} pairs, {passes} digit passes"
+                );
+            }
+        }
     }
 }

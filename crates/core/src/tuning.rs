@@ -59,8 +59,11 @@ use std::collections::BTreeMap;
 pub struct TuningPlan {
     /// Bound the scheduling index's radix-sort key range by the **maximum
     /// live transit id** of the step instead of `num_vertices - 1`. A
-    /// tighter bound can only shed whole radix passes (the sort is stable
-    /// and its output is identical), so this knob is never worse.
+    /// tighter bound can only shed digit passes (the sort is stable and its
+    /// output is identical), so this knob is never worse. On a step that
+    /// fits the sort's single tile (at most 4,864 live pairs) a shed pass
+    /// is cycles inside the one sort launch; only a multi-tile step sheds
+    /// whole launches, three per pass.
     pub tight_key_range: bool,
 }
 
@@ -132,8 +135,8 @@ impl AutoTuner {
     /// Derives the plan the evidence supports. Before
     /// [`AutoTuner::ready`], this is the baseline plan.
     pub fn plan(&self) -> TuningPlan {
-        // Tight key range: sheds whole radix passes with identical output,
-        // so engage whenever scheduling time is visible at all.
+        // Tight key range: sheds digit passes with identical output, so
+        // engage whenever scheduling time is visible at all.
         TuningPlan {
             tight_key_range: self.ready()
                 && self.total_ms > 0.0
@@ -186,8 +189,8 @@ pub struct CacheStats {
     /// Maintenance passes that found no device memory for the arena and
     /// fell back to the uncached path (samples are unaffected).
     pub pressure_fallbacks: u64,
-    /// Steps whose scheduling index was reused from the memo (the sort /
-    /// scan / compact / partition launches were skipped entirely).
+    /// Steps whose scheduling index was reused from the memo (the sort,
+    /// run-length, scan and partition launches were skipped entirely).
     pub sched_reuses: u64,
     /// Steps whose scheduling index was built on the device.
     pub sched_builds: u64,
@@ -241,7 +244,7 @@ fn memo_key(pairs: &[(VertexId, u32)], m: usize) -> u64 {
 /// their transit resident skip the global preload loads — and memoises
 /// per-step scheduling indices so a query whose live pairs repeat an
 /// earlier query's (every epoch of a training loop replays its root set)
-/// skips the sort/scan/compact/partition launches outright.
+/// skips the sort, run-length, scan and partition launches outright.
 ///
 /// Promotion and eviction happen **only at query boundaries**, from
 /// deterministically-accumulated frequency counts, so cache state is a

@@ -183,6 +183,10 @@ impl Gpu {
     /// Panics when device memory is genuinely exhausted; use
     /// [`Gpu::try_alloc`] for the fallible path (the out-of-memory
     /// experiment needs it).
+    #[allow(
+        clippy::expect_used,
+        reason = "panics on genuine exhaustion by contract; try_alloc is the typed path"
+    )]
     pub fn alloc<T: Copy + Default>(&self, len: usize) -> DeviceBuffer<T> {
         if let Some(idx) = self.alloc_fault() {
             self.faults.borrow_mut().push(FaultEvent::alloc(idx));
@@ -212,6 +216,10 @@ impl Gpu {
     /// # Panics
     ///
     /// Panics when device memory is genuinely exhausted.
+    #[allow(
+        clippy::expect_used,
+        reason = "panics on genuine exhaustion by contract; try_to_device is the typed path"
+    )]
     pub fn to_device<T: Copy + Default>(&mut self, src: &[T]) -> DeviceBuffer<T> {
         if let Some(idx) = self.alloc_fault() {
             self.faults.borrow_mut().push(FaultEvent::alloc(idx));

@@ -60,6 +60,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod algorithms;
 pub mod block;

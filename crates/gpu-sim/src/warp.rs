@@ -356,6 +356,28 @@ impl<'a> WarpCtx<'a> {
         out
     }
 
+    /// Charges one warp-wide shared-memory load (`store == false`) or
+    /// store without touching shared memory: for kernels that compute their
+    /// result on the host and only model the traffic (see
+    /// [`crate::algorithms`]). The charge is [`WarpCtx::ld_shared`]'s or
+    /// [`WarpCtx::st_shared`]'s.
+    pub(crate) fn charge_shared(&mut self, store: bool) {
+        if store {
+            self.stats.counters.shared_stores += 1;
+        } else {
+            self.stats.counters.shared_loads += 1;
+        }
+        self.stats.pipeline_cycles += self.cost.shared_cycles;
+    }
+
+    /// Charges one warp shuffle without moving values, as
+    /// [`WarpCtx::charge_shared`] does for shared memory; the charge is
+    /// [`WarpCtx::shfl`]'s.
+    pub(crate) fn charge_shuffle(&mut self) {
+        self.stats.counters.shuffles += 1;
+        self.stats.pipeline_cycles += self.cost.shfl_cycles;
+    }
+
     /// `__syncwarp()`: a cheap intra-warp barrier.
     pub fn syncwarp(&mut self) {
         self.stats.pipeline_cycles += 1.0;

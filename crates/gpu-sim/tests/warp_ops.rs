@@ -2,9 +2,12 @@
 //! API: shuffle semantics, atomic return values, divergence accounting from
 //! trace replay, and occupancy-driven behaviour.
 
+#![allow(clippy::unwrap_used, clippy::expect_used)]
+
+use nextdoor_gpu::algorithms::{exclusive_scan, radix_sort_pairs, run_length_encode};
 use nextdoor_gpu::lane::{LaneOp, LaneTrace};
 use nextdoor_gpu::warp::FULL_MASK;
-use nextdoor_gpu::{Gpu, GpuSpec, LaunchConfig, WARP_SIZE};
+use nextdoor_gpu::{Gpu, GpuSpec, KernelRecord, LaunchConfig, WARP_SIZE};
 
 fn one_warp(gpu: &mut Gpu, f: impl FnMut(&mut nextdoor_gpu::WarpCtx<'_>)) {
     let mut f = Some(f);
@@ -315,4 +318,142 @@ fn load_compute_and_rand_at_one_position_diverge_twice() {
         t
     });
     assert_eq!(divergence_of(&traces), 2, "three groups serialise");
+}
+
+// ---------------------------------------------------------------------------
+// Closed-form launch counts and launch shapes of the CUB-style primitives in
+// `algorithms`: 8-bit digits, a 4,864-key single sort tile (256 threads × 19
+// keys), 2,048-key multi-tile sort tiles and 256-item single-pass tiles.
+// ---------------------------------------------------------------------------
+
+/// Keys the single-tile sort takes.
+const SORT_TILE: usize = 4864;
+/// Keys per tile of the multi-tile sort.
+const SORT_MULTI_TILE: usize = 2048;
+/// Items per tile of the single-pass scan and run-length pass.
+const SCAN_TILE: usize = 256;
+
+/// Launches `f` issues on `gpu`.
+fn launches_of(gpu: &mut Gpu, f: impl FnOnce(&mut Gpu)) -> u64 {
+    let before = gpu.counters().launches;
+    f(gpu);
+    gpu.counters().launches - before
+}
+
+#[test]
+fn radix_sort_launches_in_closed_form() {
+    // Key bounds needing 1 to 4 digit passes.
+    let bounds = [(1, 255), (2, 16_383), (3, 1 << 20), (4, u32::MAX)];
+    let sizes = [
+        0,
+        1,
+        2,
+        31,
+        512,
+        SORT_TILE,
+        SORT_TILE + 1,
+        3 * SORT_MULTI_TILE,
+        3 * SORT_TILE,
+    ];
+    for n in sizes {
+        for (passes, max_key) in bounds {
+            let mut gpu = Gpu::new(GpuSpec::small());
+            let keys: Vec<u32> = (0..n as u32)
+                .map(|i| i.wrapping_mul(2_654_435_761) % max_key)
+                .collect();
+            let (kd, vd) = (gpu.to_device(&keys), gpu.to_device(&keys));
+            // None for one key, one launch for a single tile, and an
+            // upsweep, spine scan and downsweep per pass above.
+            let expect = match n {
+                0 | 1 => 0,
+                2..=SORT_TILE => 1,
+                _ => 3 * passes,
+            };
+            let got = launches_of(&mut gpu, |g| {
+                let _ = radix_sort_pairs(g, &kd, &vd, max_key);
+            });
+            assert_eq!(got, expect, "{n} keys, {passes} digit passes");
+        }
+    }
+}
+
+#[test]
+fn single_pass_scan_and_run_length_launches_in_closed_form() {
+    for n in [0, 1, 2, 31, 512, SCAN_TILE, SCAN_TILE + 1, 3 * SCAN_TILE] {
+        let mut gpu = Gpu::new(GpuSpec::small());
+        let data: Vec<u32> = (0..n as u32).map(|i| i / 3).collect();
+        let d = gpu.to_device(&data);
+        // An init launch and a sweep launch, whatever the tile count.
+        let expect = if n == 0 { 0 } else { 2 };
+        let scan = launches_of(&mut gpu, |g| {
+            let _ = exclusive_scan(g, &d);
+        });
+        let rle = launches_of(&mut gpu, |g| {
+            let _ = run_length_encode(g, &d);
+        });
+        assert_eq!((scan, rle), (expect, expect), "{n} items");
+    }
+}
+
+/// The benchmark's device: a V100 cut to 4 SMs.
+fn v100_4sm() -> GpuSpec {
+    let mut spec = GpuSpec::v100();
+    spec.num_sms = 4;
+    spec
+}
+
+/// The profile record of the one launch named `name`.
+fn record<'a>(gpu: &'a Gpu, name: &str) -> &'a KernelRecord {
+    let mut named = gpu.profile().kernels().filter(|k| k.name == name);
+    let rec = named.next().expect("launched");
+    assert!(named.next().is_none(), "{name} launched once");
+    rec
+}
+
+/// Occupancy of 256-thread blocks holding `shared` bytes each: the
+/// resident blocks per SM are limited by warps, block slots and shared
+/// memory.
+fn occupancy_of_256_threads(spec: &GpuSpec, shared: usize) -> f64 {
+    let warps = 256 / WARP_SIZE;
+    let blocks = (spec.max_warps_per_sm / warps)
+        .min(spec.max_blocks_per_sm)
+        .min(spec.shared_mem_per_block / shared);
+    (blocks * warps) as f64 / spec.max_warps_per_sm as f64
+}
+
+#[test]
+fn single_tile_sort_launch_shape_in_closed_form() {
+    let spec = v100_4sm();
+    let mut gpu = Gpu::new(spec.clone());
+    let keys: Vec<u32> = (0..512).rev().collect();
+    let (kd, vd) = (gpu.to_device(&keys), gpu.to_device(&keys));
+    let _ = radix_sort_pairs(&mut gpu, &kd, &vd, 16_383);
+    let rec = record(&gpu, "radix_single_tile");
+    assert_eq!((rec.grid_dim, rec.block_dim), (1, 256));
+    // 256 digit counters plus an exchange buffer of one tile, 4 bytes each.
+    let shared = (256 + SORT_TILE) * 4;
+    assert_eq!(rec.shared_mem_bytes, shared);
+    assert_eq!(rec.occupancy, occupancy_of_256_threads(&spec, shared));
+    // 96 KiB hold 4 such blocks of 8 warps: half of the SM's 64 warps.
+    assert_eq!(rec.occupancy, 0.5);
+}
+
+#[test]
+fn single_pass_scan_launch_shape_in_closed_form() {
+    let spec = v100_4sm();
+    let mut gpu = Gpu::new(spec.clone());
+    let d = gpu.to_device(&[1u32; 512]);
+    let _ = exclusive_scan(&mut gpu, &d);
+    let sweep = record(&gpu, "scan_tiles");
+    assert_eq!((sweep.grid_dim, sweep.block_dim), (2, 256));
+    // One aggregate per warp plus the tile prefix.
+    let shared = (256 / WARP_SIZE + 1) * 4;
+    assert_eq!(sweep.shared_mem_bytes, shared);
+    assert_eq!(sweep.occupancy, occupancy_of_256_threads(&spec, shared));
+    // The 8-warp blocks fill the SM's warps before shared memory binds.
+    assert_eq!(sweep.occupancy, 1.0);
+    let init = record(&gpu, "scan_init");
+    assert_eq!((init.grid_dim, init.block_dim), (1, 128));
+    assert_eq!(init.shared_mem_bytes, 0);
+    assert_eq!(init.occupancy, 1.0);
 }

@@ -95,9 +95,11 @@ fn run_chaos(spec: &GpuSpec) -> (String, String) {
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.05,
+            // The cool-down ends inside the last wave, so the stormed
+            // replica's half-open probe happens before the stream does.
             breaker: nextdoor::serve::BreakerConfig {
                 trip_after: 2,
-                cooldown_ms: 0.5,
+                cooldown_ms: 0.4,
             },
         },
     )
@@ -140,14 +142,18 @@ fn run_chaos(spec: &GpuSpec) -> (String, String) {
 
     // Chaos lands mid-stream, scheduled relative to each replica's live
     // launch counter: replica 1 dies outright, replica 2 storms long
-    // enough to trip its breaker across several dispatches.
+    // enough to trip its breaker across several dispatches. A step attempt
+    // of this batch takes 10 launches (8 for the scheduling index, then
+    // the transit and sub-warp kernels), so 86 storm launches fault both
+    // dispatches' four attempts each (80) and 6 launches of the half-open
+    // probe's first attempt, which one step retry absorbs.
     fleet
         .pool_mut()
         .schedule_faults(1, FaultPlan::new().lose_device_at_launch(0));
     fleet.pool_mut().schedule_faults(
         2,
         FaultPlan {
-            transient_launches: (0..110).collect(),
+            transient_launches: (0..86).collect(),
             ..FaultPlan::new()
         },
     );
@@ -344,7 +350,7 @@ fn chaos_run_recovers_breaker_and_sheds_typed() {
             backoff_base_ms: 0.05,
             breaker: nextdoor::serve::BreakerConfig {
                 trip_after: 2,
-                cooldown_ms: 0.5,
+                cooldown_ms: 0.4,
             },
         },
     )
@@ -397,7 +403,7 @@ fn chaos_run_recovers_breaker_and_sheds_typed() {
     fleet.pool_mut().schedule_faults(
         2,
         FaultPlan {
-            transient_launches: (0..110).collect(),
+            transient_launches: (0..86).collect(),
             ..FaultPlan::new()
         },
     );

@@ -139,9 +139,9 @@ fn micro_batcher_spans_and_metrics_reproduce_the_drain() {
 
 /// The `FleetReport`'s recovery counters, which it reads from the metrics
 /// registry, match sources the registry does not feed: the trace's span
-/// population and the drain's typed outcomes. The chaos plan forces
-/// retries with backoff; on this stream no breaker cool-down wait and no
-/// degraded-mode shed occurs, so those two counters are checked at 0.
+/// population and the drain's typed outcomes. The fault script drives
+/// every recovery path at least once: retries with backoff, a breaker
+/// cool-down wait, and a degraded-mode shed.
 #[test]
 fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
     let (graph, init) = workload();
@@ -152,14 +152,23 @@ fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
         }
         gpu
     };
-    // Replica 1 storms long enough to trip its breaker mid-stream.
+    // A failed attempt on this stream's 4-request batches burns 40
+    // launches: four tries of step 0 at 10 launches each (8 build the
+    // scheduling index, then the transit and sub-warp kernels). An
+    // 80-launch storm on both replicas fails each one's first two attempts,
+    // tripping both breakers inside the first batch, so its fifth attempt
+    // finds neither routable and waits out a cool-down longer than one
+    // failed attempt. Replica 1 is then lost at launch 140, three clean
+    // two-step dispatches (20 launches each) after its storm, while eight
+    // requests are queued against the halved cap of four: the rest is shed.
+    let storm = || FaultPlan {
+        transient_launches: (0..80).collect(),
+        ..FaultPlan::new()
+    };
     let pool = ReplicaPool::new(
         vec![
-            mk_gpu(None),
-            mk_gpu(Some(FaultPlan {
-                transient_launches: (0..110).collect(),
-                ..FaultPlan::new()
-            })),
+            mk_gpu(Some(storm())),
+            mk_gpu(Some(storm().lose_device_at_launch(140))),
         ],
         &graph,
         vec![app(), app()],
@@ -168,7 +177,7 @@ fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
             backoff_base_ms: 0.001,
             breaker: BreakerConfig {
                 trip_after: 2,
-                cooldown_ms: 0.01,
+                cooldown_ms: 0.2,
             },
         },
     )
@@ -208,6 +217,12 @@ fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
     let m = fleet.metrics();
     let t = fleet.trace();
     assert!(report.retries > 0, "the storm must force retries");
+    assert!(
+        report.cooldown_waits >= 1,
+        "both breakers were open at a pick"
+    );
+    assert!(report.shed >= 1, "the degraded fleet shed its excess queue");
+    assert!(report.replicas[1].lost, "replica 1 was lost mid-stream");
     // Each dispatch, served or failed, records one Dispatch span.
     assert_eq!(t.count(SpanKind::Dispatch) as u64, report.batches);
     assert_eq!(overloaded, report.shed, "one Overloaded outcome per shed");

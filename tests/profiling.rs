@@ -8,17 +8,24 @@
 //!   samples with a typed error (the step planner derives transits-per-
 //!   sample from sample 0 alone, so uniformity must hold at the door);
 //! * **fault tolerance** — profiling stays consistent under injected
-//!   allocation faults at every allocation index.
+//!   allocation faults at every allocation index;
+//! * **classification** — every kernel an engine launches maps to a
+//!   pipeline phase.
 
-use nextdoor::apps::{KHop, Layer};
+use std::collections::BTreeSet;
+
+use nextdoor::apps::{DeepWalk, KHop, Ladies, Layer};
 use nextdoor::core::large_graph::run_nextdoor_out_of_core;
 use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
+use nextdoor::core::sharded::ShardedSampler;
+use nextdoor::core::tuning::CacheConfig;
 use nextdoor::core::{
-    initial_samples_random, run_cpu, run_nextdoor, run_sample_parallel, run_vanilla_tp,
-    KernelPhase, NextDoorError,
+    classify_kernel, initial_samples_random, run_cpu, run_nextdoor, run_sample_parallel,
+    run_vanilla_tp, KernelPhase, NextCtx, NextDoorError, SamplerSession, SamplingApp, SamplingType,
+    Steps,
 };
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
-use nextdoor::graph::Dataset;
+use nextdoor::graph::{Dataset, VertexId};
 
 fn small_graph() -> nextdoor::graph::Csr {
     Dataset::Ppi.generate(0.02, 5)
@@ -270,4 +277,133 @@ fn exporters_write_report_and_trace() {
     assert!(trace_s.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
     assert!(trace_s.contains("\"ph\":\"X\""));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Wraps an app and asks for unique neighbours at every step, so the
+/// unique-neighbour stage runs.
+struct UniqueEveryStep<A>(A);
+
+impl<A: SamplingApp> SamplingApp for UniqueEveryStep<A> {
+    fn name(&self) -> &'static str {
+        "unique-every-step"
+    }
+    fn steps(&self) -> Steps {
+        self.0.steps()
+    }
+    fn sample_size(&self, step: usize) -> usize {
+        self.0.sample_size(step)
+    }
+    fn sampling_type(&self) -> SamplingType {
+        self.0.sampling_type()
+    }
+    fn unique(&self, _step: usize) -> bool {
+        true
+    }
+    fn next(&self, ctx: &mut NextCtx<'_>) -> Option<VertexId> {
+        self.0.next(ctx)
+    }
+}
+
+/// Every kernel each engine launches maps to a pipeline phase. A kernel
+/// `classify_kernel` does not know, such as a new scheduling-index kernel,
+/// would fall into `KernelPhase::Other` and drop out of the per-phase
+/// breakdowns, the tuner's scheduling share and the benchmark's phase
+/// metrics.
+#[test]
+fn every_engine_kernel_has_a_phase() {
+    type Engine = fn(
+        &mut Gpu,
+        &nextdoor::graph::Csr,
+        &dyn SamplingApp,
+        &[Vec<u32>],
+        u64,
+    ) -> Result<nextdoor::core::RunResult, NextDoorError>;
+    type AppFn = fn() -> Box<dyn SamplingApp + Send>;
+    let graph = small_graph();
+    let mut hubs: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
+    hubs.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
+    // 96 samples on one hub and 16 on another: with KHop's fanout of 25
+    // those transits need 2,400 and 400 threads, the grid and block
+    // classes; the other samples' transits are sub-warp work.
+    let walk_init: Vec<Vec<VertexId>> = (0..160)
+        .map(|i| match i {
+            0..=95 => vec![hubs[0]],
+            96..=111 => vec![hubs[1]],
+            _ => vec![hubs[i]],
+        })
+        .collect();
+    let ladies_init = initial_samples_random(&graph, 16, 16, 3).unwrap();
+    let apps: [(&str, AppFn, &[Vec<VertexId>]); 4] = [
+        ("deepwalk", || Box::new(DeepWalk::new(4)), &walk_init),
+        ("khop", || Box::new(KHop::new(vec![25, 4])), &walk_init),
+        ("ladies", || Box::new(Ladies::new(2, 16)), &ladies_init),
+        (
+            "unique",
+            || Box::new(UniqueEveryStep(KHop::new(vec![4, 4]))),
+            &walk_init,
+        ),
+    ];
+    let engines: [(&str, Engine); 3] = [
+        ("nextdoor", run_nextdoor),
+        ("sp", run_sample_parallel),
+        ("tp", run_vanilla_tp),
+    ];
+    let mut seen = BTreeSet::new();
+    let mut check = |label: &str, gpu: &Gpu| {
+        assert!(gpu.profile().kernels().next().is_some(), "{label} launched");
+        for k in gpu.profile().kernels() {
+            let phase = classify_kernel(&k.name);
+            assert_ne!(
+                phase,
+                KernelPhase::Other,
+                "{label}: kernel {} has no phase",
+                k.name
+            );
+            seen.insert(phase.label());
+        }
+    };
+    for (app_name, app, init) in apps {
+        for (engine_name, engine) in engines {
+            let mut gpu = Gpu::new(GpuSpec::small());
+            engine(&mut gpu, &graph, app().as_ref(), init, 7).unwrap();
+            check(&format!("{engine_name} / {app_name}"), &gpu);
+        }
+        // A session with the hot cache on, over repeated queries so the
+        // cache installs and its memo both come into play.
+        let mut session = SamplerSession::new(GpuSpec::small(), graph.clone(), app()).unwrap();
+        session.enable_hot_cache(CacheConfig::default());
+        for seed in [7, 7, 8] {
+            session.query(init, seed).unwrap();
+        }
+        check(&format!("session / {app_name}"), session.gpu());
+        // Two shards, for the apps shards accept.
+        match ShardedSampler::new(GpuSpec::small(), graph.clone(), app(), 2, 7) {
+            Ok(mut sharded) => {
+                sharded.query(init, 7).unwrap();
+                for s in 0..2 {
+                    check(&format!("shard {s} / {app_name}"), sharded.shard_gpu(s));
+                }
+            }
+            Err(NextDoorError::ShardUnsupported { .. }) => {}
+            Err(e) => panic!("{app_name} on shards: {e}"),
+        }
+    }
+    // The runs reached every phase, so the check above saw each kind of
+    // kernel.
+    for phase in [
+        KernelPhase::Scheduling,
+        KernelPhase::Transit,
+        KernelPhase::SubWarp,
+        KernelPhase::Block,
+        KernelPhase::Grid,
+        KernelPhase::SampleParallel,
+        KernelPhase::Collective,
+        KernelPhase::PostProcess,
+    ] {
+        assert!(
+            seen.contains(phase.label()),
+            "no {} kernel ran",
+            phase.label()
+        );
+    }
 }

@@ -6,7 +6,7 @@ use nextdoor::apps::{DeepWalk, KHop};
 use nextdoor::core::engine::unique::dedup_values;
 use nextdoor::core::session::SamplerSession;
 use nextdoor::core::{run_cpu, run_nextdoor, SamplingApp, NULL_VERTEX};
-use nextdoor::gpu::algorithms::{compact, exclusive_scan, histogram, radix_sort_pairs};
+use nextdoor::gpu::algorithms::{exclusive_scan, histogram, radix_sort_pairs, run_length_encode};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::gen::{rmat, RmatParams};
 use nextdoor::graph::{GraphBuilder, VertexId};
@@ -103,18 +103,27 @@ proptest! {
     }
 
     #[test]
-    fn gpu_compact_matches_filter(
-        pairs in proptest::collection::vec((0u32..100, proptest::bool::ANY), 0..1500)
+    fn gpu_run_length_encode_matches_std(
+        mut keys in proptest::collection::vec(0u32..100, 0..1500)
     ) {
-        let data: Vec<u32> = pairs.iter().map(|p| p.0).collect();
-        let flags: Vec<u32> = pairs.iter().map(|p| u32::from(p.1)).collect();
+        keys.sort_unstable();
         let mut gpu = Gpu::new(GpuSpec::small());
-        let dd = gpu.to_device(&data);
-        let fd = gpu.to_device(&flags);
-        let (out, count) = compact(&mut gpu, &dd, &fd);
-        let expect: Vec<u32> = pairs.iter().filter(|p| p.1).map(|p| p.0).collect();
-        prop_assert_eq!(count, expect.len());
-        prop_assert_eq!(out.as_slice(), expect.as_slice());
+        let kd = gpu.to_device(&keys);
+        let (unique, counts) = run_length_encode(&mut gpu, &kd);
+        let mut expect: Vec<(u32, u32)> = Vec::new();
+        for &k in &keys {
+            match expect.last_mut() {
+                Some((last, n)) if *last == k => *n += 1,
+                _ => expect.push((k, 1)),
+            }
+        }
+        let got: Vec<(u32, u32)> = unique
+            .as_slice()
+            .iter()
+            .cloned()
+            .zip(counts.as_slice().iter().cloned())
+            .collect();
+        prop_assert_eq!(got, expect);
     }
 
     #[test]
