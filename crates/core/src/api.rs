@@ -484,6 +484,14 @@ pub trait SamplingApp: Sync {
     /// Samples one vertex (`next`), or `None` for the paper's `NULL`.
     fn next(&self, ctx: &mut NextCtx<'_>) -> Option<VertexId>;
 
+    /// Whether `next` reads the adjacency row of a vertex other than its
+    /// transits, as node2vec's [`NextCtx::has_edge`] probe on the previous
+    /// transit does. A graph shard holds only its own rows, so
+    /// [`ShardedSampler`](crate::sharded::ShardedSampler) rejects such apps.
+    fn reads_other_rows(&self) -> bool {
+        false
+    }
+
     /// The number of transit vertices of each sample at step 0 (defaults to
     /// the number of initial vertices per sample).
     fn initial_transits(&self, initial_len: usize) -> usize {

@@ -113,12 +113,8 @@ pub fn run_cpu_keyed(
         if app.unique(step) {
             unique::dedup_values(&mut values, plan.slots, ns);
         }
-        let live_this_step = values.iter().any(|&v| v != NULL_VERTEX);
         finish_step(app, &mut store, &plan, values, edges);
         steps_run += 1;
-        if !live_this_step {
-            break;
-        }
     }
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
     Ok(RunResult {

@@ -381,6 +381,10 @@ pub(crate) fn run_step_loop(
     let mut prev_buf = upload_frontier(gpu, &mut report, init)?.ok_or_else(lost)?;
     for step in 0..step_budget(app) {
         let plan = plan_step(app, &store, step, keys);
+        // Only a step without live transits ends the run. A step whose
+        // draws all came back NULL does not: MultiRW picks a fresh root
+        // next step, and stopping there would make a sample's length
+        // depend on the other samples of its batch.
         if plan.live == 0 {
             break;
         }
@@ -424,16 +428,12 @@ pub(crate) fn run_step_loop(
         )?
         .ok_or_else(lost)?;
         tally.sched_cycles += cycles;
-        let live_this_step = out.values.iter().any(|&v| v != NULL_VERTEX);
         finish_step(app, &mut store, &plan, out.values, out.edges);
         tally.steps_run += 1;
         tally
             .step_marks
             .push((step, step_launch0, gpu.launches_issued()));
         prev_buf = out.step_buf;
-        if !live_this_step {
-            break;
-        }
     }
     Ok(StepLoopOut {
         store,

@@ -607,6 +607,85 @@ mod tests {
         assert_eq!(kernel.counters.gst_transactions, 1);
     }
 
+    /// One sub-warp transit in closed form: `c` samples on a transit of
+    /// degree 300, `m` lanes each (`c·m ≤ 32`), every lane reading the
+    /// transit's first neighbour. The warp preloads `n = max(⌈4·c·m⌉₈, 8)`
+    /// neighbours (`⌈·⌉₈` rounds up to the 8 words of a sector) in
+    /// `⌈n/32⌉` requests touching `n/8` sectors, serves every lane with one
+    /// shuffle, and stores its `c·m` outputs in one request touching
+    /// `⌈c·m/8⌉` sectors.
+    #[test]
+    fn subwarp_transit_charges_in_closed_form() {
+        use crate::api::{NextCtx, Steps};
+        use crate::engine::plan_step;
+        use crate::engine::scheduling::build_scheduling_index;
+        use crate::gpu_graph::GpuGraph;
+        use nextdoor_graph::GraphBuilder;
+
+        struct FirstNeighbour(usize);
+        impl SamplingApp for FirstNeighbour {
+            fn name(&self) -> &'static str {
+                "first-neighbour"
+            }
+            fn steps(&self) -> Steps {
+                Steps::Fixed(1)
+            }
+            fn sample_size(&self, _: usize) -> usize {
+                self.0
+            }
+            fn next(&self, ctx: &mut NextCtx<'_>) -> Option<VertexId> {
+                (ctx.num_edges() > 0).then(|| ctx.src_edge(0))
+            }
+        }
+
+        let mut b = GraphBuilder::new(301);
+        for v in 1..=300 {
+            b.push_edge(0, v);
+        }
+        let graph = b.build().unwrap();
+        for (c, m) in [(1, 1), (1, 32), (32, 1), (4, 2), (3, 3), (5, 6), (8, 4)] {
+            let mut gpu = Gpu::new(GpuSpec::small());
+            let gg = GpuGraph::upload(&mut gpu, &graph).unwrap();
+            let app = FirstNeighbour(m);
+            let store = SampleStore::new(vec![vec![0]; c]);
+            let keys = SampleKeys::uniform(0);
+            let plan = plan_step(&app, &store, 0, &keys);
+            let pairs: Vec<(VertexId, u32)> = (0..c as u32).map(|s| (0, s)).collect();
+            let index = build_scheduling_index(&mut gpu, &pairs, graph.num_vertices()).unwrap();
+            let ex = StepExec {
+                graph: &graph,
+                gg: &gg,
+                app: &app,
+                store: &store,
+                plan: &plan,
+                keys: &keys,
+            };
+            let mut out = StepOut::try_new(&gpu, c, m).unwrap();
+            run_subwarp_kernel(&mut gpu, &ex, &index, &[0], &[], &mut out);
+            let k = gpu.profile().kernels().last().expect("profiled").counters;
+            let n = (4 * c * m).next_multiple_of(8).max(8) as u64;
+            let cm = (c * m) as u64;
+            assert_eq!(
+                k.gld_requests,
+                n.div_ceil(32),
+                "c={c}, m={m}: preload requests"
+            );
+            assert_eq!(k.gld_transactions, n / 8, "c={c}, m={m}: preload sectors");
+            assert_eq!(k.shuffles, 1, "c={c}, m={m}");
+            assert_eq!(k.gst_requests, 1, "c={c}, m={m}");
+            assert_eq!(
+                k.gst_transactions,
+                cm.div_ceil(8),
+                "c={c}, m={m}: store sectors"
+            );
+            assert_eq!(k.divergent_branches, 0, "c={c}, m={m}");
+            assert!(
+                out.values.iter().all(|&v| v == 1),
+                "every lane read neighbour 1"
+            );
+        }
+    }
+
     /// Regression test for the silent clamp: an out-of-range physical slot
     /// means the work plan is corrupt, and `execute_lanes` must fail
     /// loudly instead of merging the store into the last in-range sector

@@ -75,8 +75,8 @@ pub enum NextDoorError {
         device: usize,
     },
     /// The sharded engine cannot run this configuration and no degradation
-    /// path applies (collective apps, per-step uniqueness, degenerate
-    /// partitions).
+    /// path applies (collective apps, per-step uniqueness, apps that read
+    /// other vertices' rows, degenerate partitions).
     ShardUnsupported {
         /// Human-readable reason the configuration cannot be sharded.
         reason: String,

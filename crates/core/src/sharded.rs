@@ -35,12 +35,12 @@
 //! Sharding supports individual-transit applications that neither require
 //! per-step unique neighbours nor read adjacency of vertices other than
 //! the current transit. Collective apps need the combined neighbourhood of
-//! transits that may span shards, and `unique` needs cross-shard
-//! deduplication — both are rejected at construction with
-//! [`NextDoorError::ShardUnsupported`]. (Node2Vec-style apps that probe
-//! `has_edge` on the *previous* transit's row are accepted but only
-//! bit-identical when both transits share a shard; route such apps to the
-//! single-device session instead.)
+//! transits that may span shards, `unique` needs cross-shard
+//! deduplication, and an app that reads other rows
+//! ([`SamplingApp::reads_other_rows`], such as node2vec's `has_edge` probe
+//! on the previous transit) would find them missing on its shard — all
+//! three are rejected at construction with
+//! [`NextDoorError::ShardUnsupported`].
 //!
 //! ```
 //! use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
@@ -214,7 +214,8 @@ impl ShardedSampler {
     /// [`NextDoorError::NoGpus`] for zero shards,
     /// [`NextDoorError::ShardUnsupported`] when the partition is degenerate
     /// (more shards than vertices) or the app needs collective
-    /// neighbourhoods or per-step uniqueness, and
+    /// neighbourhoods, per-step uniqueness or adjacency rows other than
+    /// its transits', and
     /// [`NextDoorError::OutOfMemory`] when a shard's sub-graph does not fit
     /// on its device.
     pub fn new(
@@ -234,6 +235,15 @@ impl ShardedSampler {
             return Err(NextDoorError::ShardUnsupported {
                 reason: format!(
                     "{} samples collectively; a combined neighbourhood can span shards",
+                    app.name()
+                ),
+            });
+        }
+        if app.reads_other_rows() {
+            return Err(NextDoorError::ShardUnsupported {
+                reason: format!(
+                    "{} reads adjacency rows other than its transits', which another shard \
+                     may own",
                     app.name()
                 ),
             });
@@ -606,13 +616,9 @@ impl ShardedSampler {
                 handoffs: step_handoffs,
             });
 
-            let live_this_step = merged_values.iter().any(|&v| v != NULL_VERTEX);
             finish_step(app, &mut store, &plan, merged_values, merged_edges);
             steps_run += 1;
             prev_transits = Some((plan.transits, plan.tps));
-            if !live_this_step {
-                break;
-            }
         }
 
         self.clock_ms += elapsed_ms;

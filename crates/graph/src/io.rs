@@ -31,6 +31,19 @@ pub enum IoError {
         /// The offending field.
         field: String,
     },
+    /// A vertex id is `VertexId::MAX`, which the sampling engines reserve
+    /// as their "no vertex" marker.
+    ReservedVertex {
+        /// 1-based line number.
+        line: usize,
+    },
+    /// A weight is NaN, infinite or negative.
+    BadWeight {
+        /// 1-based line number.
+        line: usize,
+        /// The offending field.
+        field: String,
+    },
     /// The resulting edge list failed CSR construction.
     Build(BuildError),
 }
@@ -46,6 +59,17 @@ impl std::fmt::Display for IoError {
             }
             IoError::BadNumber { line, field } => {
                 write!(f, "line {line}: cannot parse number {field:?}")
+            }
+            IoError::ReservedVertex { line } => write!(
+                f,
+                "line {line}: vertex id {} is reserved as the no-vertex marker",
+                VertexId::MAX
+            ),
+            IoError::BadWeight { line, field } => {
+                write!(
+                    f,
+                    "line {line}: weight {field:?} is not a finite non-negative number"
+                )
             }
             IoError::Build(e) => write!(f, "building CSR failed: {e}"),
         }
@@ -64,8 +88,17 @@ impl From<BuildError> for IoError {
 ///
 /// Lines starting with `#` or `%` and blank lines are skipped. Vertex ids
 /// are used as-is; the vertex count is `max id + 1` unless a larger
-/// `min_vertices` is given. A third column, when present on *every* edge
-/// line, is read as the edge weight.
+/// `min_vertices` is given, so one large id allocates offsets for every
+/// smaller one (id 2^31 costs gigabytes) by the format's design. A third
+/// column, when present on *every* edge line, is read as the edge weight.
+///
+/// # Errors
+///
+/// [`IoError::Malformed`] for a line without 2 or 3 fields,
+/// [`IoError::BadNumber`] for a field that is not a number,
+/// [`IoError::ReservedVertex`] for the id `VertexId::MAX` (the engines'
+/// "no vertex" marker), [`IoError::BadWeight`] for a NaN, infinite or
+/// negative weight, and [`IoError::Build`] if CSR construction fails.
 ///
 /// # Examples
 ///
@@ -89,21 +122,29 @@ pub fn parse_edge_list(text: &str, undirected: bool, min_vertices: usize) -> Res
                 content: line.to_string(),
             });
         }
-        let parse_id = |s: &str| -> Result<VertexId, IoError> {
-            s.parse().map_err(|_| IoError::BadNumber {
-                line: line_no,
-                field: s.to_string(),
-            })
+        let bad_number = |field: &str| IoError::BadNumber {
+            line: line_no,
+            field: field.to_string(),
+        };
+        let parse_id = |s: &str| match s.parse::<VertexId>() {
+            Ok(VertexId::MAX) => Err(IoError::ReservedVertex { line: line_no }),
+            Ok(v) => Ok(v),
+            Err(_) => Err(bad_number(s)),
         };
         let s = parse_id(fields[0])?;
         let d = parse_id(fields[1])?;
-        let w = if fields.len() == 3 {
-            Some(fields[2].parse().map_err(|_| IoError::BadNumber {
-                line: line_no,
-                field: fields[2].to_string(),
-            })?)
-        } else {
-            None
+        let w = match fields.get(2) {
+            Some(field) => match field.parse::<f32>() {
+                Ok(w) if w.is_finite() && w >= 0.0 => Some(w),
+                Ok(_) => {
+                    return Err(IoError::BadWeight {
+                        line: line_no,
+                        field: field.to_string(),
+                    })
+                }
+                Err(_) => return Err(bad_number(field)),
+            },
+            None => None,
         };
         max_v = max_v.max(s as usize).max(d as usize);
         edges.push((s, d, w));

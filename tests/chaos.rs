@@ -22,67 +22,32 @@
 //! after an intentional change to the cost model, engines or recovery
 //! policy.
 
+mod common;
+
+use common::{check_golden, cpu_digest, digest, ppi_workload, spec_with_threads, thread_invariant};
 use nextdoor::apps::KHop;
-use nextdoor::core::session::{SamplerSession, SessionQuery};
-use nextdoor::core::{initial_samples_random, SamplingApp};
+use nextdoor::core::session::SessionQuery;
+use nextdoor::core::{initial_samples_random, SampleStore, SamplingApp};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
-use nextdoor::graph::{Csr, Dataset, VertexId};
 use nextdoor::serve::{
-    FleetBatcher, PoolConfig, ReplicaPool, Request, ServeConfig, ServeError, ShardPoolConfig,
-    ShardedPool,
+    FleetBatcher, PoolConfig, ReplicaPool, Request, RequestId, RequestOutcome, ServeConfig,
+    ServeError, ShardPoolConfig, ShardedPool,
 };
-use std::path::Path;
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-fn workload() -> (Csr, Vec<Vec<VertexId>>) {
-    let graph = Dataset::Ppi.generate(0.02, 5);
-    let init = initial_samples_random(&graph, 16, 1, 11).unwrap();
-    (graph, init)
-}
 
 fn app() -> Box<dyn SamplingApp + Send> {
     Box::new(KHop::new(vec![3, 2]))
 }
 
-fn spec_with_threads(threads: usize) -> GpuSpec {
-    let mut spec = GpuSpec::small();
-    spec.host_threads = threads;
-    spec
-}
-
-/// Compares `got` against the golden digest at `tests/golden/<name>.txt`,
-/// or rewrites it when `NEXTDOOR_BLESS=1`.
-fn check_golden(name: &str, got: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.txt"));
-    if std::env::var("NEXTDOOR_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); bless with NEXTDOOR_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "{name}: output diverged from the golden digest; if the change is \
-         intentional, regenerate with NEXTDOOR_BLESS=1"
-    );
-}
-
-/// The scripted chaos run. Returns `(outcome digest, fleet report digest)`.
+/// The scripted chaos run. Returns each request's wave and outcome, in
+/// drain order, and the fleet; request `i` is seeded `1000 + i`.
 ///
 /// Script: a healthy warm-up wave; then replica 1 is scheduled to drop off
 /// the bus at its next launch and replica 2 to enter a transient-fault
 /// storm; a full-queue wave rides through the failures (sheds under the
 /// degraded capacity); a final wave runs on the recovered-but-degraded
 /// fleet.
-fn run_chaos(spec: &GpuSpec) -> (String, String) {
-    let (graph, init) = workload();
+fn run_chaos(spec: &GpuSpec) -> (Vec<(&'static str, RequestId, RequestOutcome)>, FleetBatcher) {
+    let (graph, init) = ppi_workload(16);
     let gpus = vec![
         Gpu::new(spec.clone()),
         Gpu::new(spec.clone()),
@@ -114,9 +79,9 @@ fn run_chaos(spec: &GpuSpec) -> (String, String) {
     )
     .unwrap();
 
-    let mut outcome_digest = String::new();
+    let mut outcomes = Vec::new();
     let mut next_seed = 1000u64;
-    let mut serve_wave = |fleet: &mut FleetBatcher, n: usize, label: &str| {
+    let mut serve_wave = |fleet: &mut FleetBatcher, n: usize, label: &'static str| {
         for _ in 0..n {
             fleet
                 .submit(Request::new(init.clone(), next_seed))
@@ -125,15 +90,7 @@ fn run_chaos(spec: &GpuSpec) -> (String, String) {
         }
         let served = fleet.drain();
         assert_eq!(served.len(), n, "{label}: every request got an outcome");
-        for (id, outcome) in served {
-            match outcome {
-                Ok(resp) => outcome_digest.push_str(&format!(
-                    "{label} {id:?} ok samples: {:?}\n",
-                    resp.store.final_samples()
-                )),
-                Err(e) => outcome_digest.push_str(&format!("{label} {id:?} err: {e}\n")),
-            }
-        }
+        outcomes.extend(served.into_iter().map(|(id, outcome)| (label, id, outcome)));
     };
 
     // Wave A: the healthy fleet.
@@ -164,34 +121,37 @@ fn run_chaos(spec: &GpuSpec) -> (String, String) {
     // Wave C: the fleet has lost one replica for good; the stormed one
     // must have recovered through its breaker by the end of this wave.
     serve_wave(&mut fleet, 8, "recovered");
-
-    let report = fleet.report();
-    (outcome_digest, report.digest())
+    (outcomes, fleet)
 }
 
 #[test]
 fn chaos_run_is_thread_count_invariant_and_matches_golden() {
-    let (samples, report) = run_chaos(&spec_with_threads(1));
-    for t in &THREAD_COUNTS[1..] {
-        let (s, r) = run_chaos(&spec_with_threads(*t));
-        assert_eq!(
-            samples, s,
-            "chaos outcomes at {t} worker threads differ from sequential"
-        );
-        assert_eq!(
-            report, r,
-            "FleetReport at {t} worker threads differs from sequential"
-        );
-    }
+    let (samples, report) = thread_invariant("chaos run", |spec| {
+        let (outcomes, fleet) = run_chaos(&spec);
+        let samples: String = (outcomes.iter())
+            .map(|(label, id, outcome)| match outcome {
+                Ok(resp) => format!(
+                    "{label} {id:?} ok samples: {:?}\n",
+                    resp.store.final_samples()
+                ),
+                Err(e) => format!("{label} {id:?} err: {e}\n"),
+            })
+            .collect();
+        (samples, fleet.report().digest())
+    });
     check_golden("chaos_outcomes", &samples);
     check_golden("chaos_fleet_report", &report);
 }
 
+/// One query of the sharded chaos script: its wave, the query and its
+/// outcome.
+type ShardOutcome = (&'static str, SessionQuery, Result<SampleStore, ServeError>);
+
 /// The scripted sharded chaos run: a three-shard pool loses one shard
-/// mid-walk while queries keep flowing. Returns
-/// `(outcome digest, fleet report digest)`.
-fn run_shard_chaos(spec: &GpuSpec) -> (String, String) {
-    let (graph, _) = workload();
+/// mid-walk while queries keep flowing. Returns each query's outcome and
+/// the pool.
+fn run_shard_chaos(spec: &GpuSpec) -> (Vec<ShardOutcome>, ShardedPool) {
+    let (graph, _) = ppi_workload(16);
     let mut pool = ShardedPool::new(
         spec.clone(),
         graph.clone(),
@@ -203,9 +163,9 @@ fn run_shard_chaos(spec: &GpuSpec) -> (String, String) {
     )
     .unwrap();
 
-    let mut outcome_digest = String::new();
+    let mut outcomes = Vec::new();
     let mut next_seed = 500u64;
-    let mut wave = |pool: &mut ShardedPool, n: usize, label: &str| {
+    let mut wave = |pool: &mut ShardedPool, n: usize, label: &'static str| {
         // Each query gets its own random frontier, so home shards vary and
         // a dead shard sheds some queries while survivors keep serving.
         let queries: Vec<SessionQuery> = (0..n)
@@ -220,16 +180,12 @@ fn run_shard_chaos(spec: &GpuSpec) -> (String, String) {
             })
             .collect();
         let d = pool.dispatch(&queries).unwrap();
-        for (q, r) in queries.iter().zip(&d.results) {
-            match r {
-                Ok(store) => outcome_digest.push_str(&format!(
-                    "{label} seed {} ok samples: {:?}\n",
-                    q.seed,
-                    store.final_samples()
-                )),
-                Err(e) => outcome_digest.push_str(&format!("{label} seed {} err: {e}\n", q.seed)),
-            }
-        }
+        outcomes.extend(
+            queries
+                .into_iter()
+                .zip(d.results)
+                .map(|(q, r)| (label, q, r)),
+        );
     };
 
     // Wave A: the healthy sharded fleet.
@@ -243,75 +199,48 @@ fn run_shard_chaos(spec: &GpuSpec) -> (String, String) {
     // Wave B rides through the loss; wave C runs on the degraded fleet.
     wave(&mut pool, 6, "storm");
     wave(&mut pool, 4, "degraded");
-
-    (outcome_digest, pool.report().digest())
+    (outcomes, pool)
 }
 
 #[test]
 fn sharded_chaos_is_thread_count_invariant_and_matches_golden() {
-    let (samples, report) = run_shard_chaos(&spec_with_threads(1));
-    for t in &THREAD_COUNTS[1..] {
-        let (s, r) = run_shard_chaos(&spec_with_threads(*t));
-        assert_eq!(
-            samples, s,
-            "sharded chaos outcomes at {t} worker threads differ from sequential"
-        );
-        assert_eq!(
-            report, r,
-            "sharded FleetReport at {t} worker threads differs from sequential"
-        );
-    }
+    let (samples, report) = thread_invariant("sharded chaos run", |spec| {
+        let (outcomes, pool) = run_shard_chaos(&spec);
+        let samples: String = (outcomes.iter())
+            .map(|(label, q, r)| match r {
+                Ok(store) => format!(
+                    "{label} seed {} ok samples: {:?}\n",
+                    q.seed,
+                    store.final_samples()
+                ),
+                Err(e) => format!("{label} seed {} err: {e}\n", q.seed),
+            })
+            .collect();
+        (samples, pool.report().digest())
+    });
     check_golden("shard_chaos_outcomes", &samples);
     check_golden("shard_fleet_report", &report);
 }
 
 #[test]
 fn sharded_chaos_degrades_typed_and_keeps_survivors() {
-    let spec = spec_with_threads(1);
-    let (graph, _) = workload();
-    let mut pool = ShardedPool::new(
-        spec,
-        graph.clone(),
-        app(),
-        ShardPoolConfig {
-            num_shards: 3,
-            ..ShardPoolConfig::default()
-        },
-    )
-    .unwrap();
-
-    let queries_at = |seed0: u64, n: usize| -> Vec<SessionQuery> {
-        (0..n as u64)
-            .map(|i| SessionQuery {
-                init: initial_samples_random(&graph, 8, 1, seed0 + i).unwrap(),
-                seed: seed0 + i,
-            })
-            .collect()
-    };
-
-    let warm = pool.dispatch(&queries_at(500, 4)).unwrap();
-    assert!(
-        warm.results.iter().all(Result::is_ok),
-        "healthy fleet serves"
-    );
-    pool.schedule_faults(1, FaultPlan::new().lose_device_at_launch(2));
-    pool.dispatch(&queries_at(600, 6)).unwrap();
+    let (outcomes, pool) = run_shard_chaos(&spec_with_threads(1));
     assert!(pool.sampler().shard_lost(1), "the scheduled loss landed");
-
-    let after = pool.dispatch(&queries_at(700, 8)).unwrap();
-    let mut served = 0usize;
     let mut shed = 0usize;
-    for r in &after.results {
+    for (label, q, r) in &outcomes {
         match r {
-            Ok(_) => served += 1,
-            Err(ServeError::ShardLost { shard, shards }) => {
-                assert_eq!((*shard, *shards), (1, 3));
-                shed += 1;
-            }
-            Err(e) => panic!("unexpected outcome on the degraded fleet: {e}"),
+            Ok(_) => {}
+            Err(ServeError::ShardLost {
+                shard: 1,
+                shards: 3,
+            }) if *label != "warmup" => shed += 1,
+            Err(e) => panic!("{label} seed {}: unexpected outcome: {e}", q.seed),
         }
     }
-    assert!(served > 0, "survivor shards keep serving");
+    let survivors = (outcomes.iter())
+        .filter(|(label, _, r)| *label == "degraded" && r.is_ok())
+        .count();
+    assert!(survivors > 0, "survivor shards keep serving");
     assert!(shed > 0, "queries homed on the dead shard are shed typed");
 
     let report = pool.report();
@@ -331,84 +260,25 @@ fn sharded_chaos_degrades_typed_and_keeps_survivors() {
 
 #[test]
 fn chaos_run_recovers_breaker_and_sheds_typed() {
-    let (graph, init) = workload();
-    let spec = spec_with_threads(1);
-
-    // Re-run the same script but assert on behaviour instead of digests,
-    // and check every successful response against the fault-free oracle.
-    let gpus = vec![
-        Gpu::new(spec.clone()),
-        Gpu::new(spec.clone()),
-        Gpu::new(spec.clone()),
-    ];
-    let pool = ReplicaPool::new(
-        gpus,
-        &graph,
-        vec![app(), app(), app()],
-        PoolConfig {
-            max_retries: 6,
-            backoff_base_ms: 0.05,
-            breaker: nextdoor::serve::BreakerConfig {
-                trip_after: 2,
-                cooldown_ms: 0.4,
-            },
-        },
-    )
-    .unwrap();
-    let mut fleet = FleetBatcher::new(
-        pool,
-        ServeConfig {
-            max_batch: 4,
-            max_queue: 12,
-            default_deadline_ms: None,
-        },
-    )
-    .unwrap();
-    let mut oracle = SamplerSession::new(spec, graph.clone(), app()).unwrap();
-
-    let mut next_seed = 1000u64;
+    // The same script, asserted on behaviour instead of digests: every
+    // successful response against the CPU oracle.
+    let (graph, init) = ppi_workload(16);
+    let (outcomes, fleet) = run_chaos(&spec_with_threads(1));
     let mut shed = 0usize;
-    let mut completed = 0usize;
-    let mut serve_wave = |fleet: &mut FleetBatcher, n: usize| {
-        let mut seed_of = std::collections::HashMap::new();
-        for _ in 0..n {
-            let id = fleet.submit(Request::new(init.clone(), next_seed)).unwrap();
-            seed_of.insert(id, next_seed);
-            next_seed += 1;
-        }
-        for (id, outcome) in fleet.drain() {
-            match outcome {
-                Ok(resp) => {
-                    let clean = oracle.query(&init, seed_of[&id]).unwrap();
-                    assert_eq!(
-                        resp.store.final_samples(),
-                        clean.store.final_samples(),
-                        "recovered request must reproduce fault-free samples"
-                    );
-                    completed += 1;
-                }
-                Err(ServeError::Overloaded { healthy, replicas }) => {
-                    assert!(healthy < replicas, "shed only under degradation");
-                    shed += 1;
-                }
-                Err(e) => panic!("unexpected outcome in the chaos script: {e}"),
+    for (_, id, outcome) in &outcomes {
+        match outcome {
+            Ok(resp) => assert_eq!(
+                digest(&resp.store),
+                cpu_digest(&graph, app().as_ref(), &init, 1000 + id.0),
+                "recovered request must reproduce fault-free samples"
+            ),
+            Err(ServeError::Overloaded { healthy, replicas }) => {
+                assert!(healthy < replicas, "shed only under degradation");
+                shed += 1;
             }
+            Err(e) => panic!("unexpected outcome in the chaos script: {e}"),
         }
-    };
-
-    serve_wave(&mut fleet, 6);
-    fleet
-        .pool_mut()
-        .schedule_faults(1, FaultPlan::new().lose_device_at_launch(0));
-    fleet.pool_mut().schedule_faults(
-        2,
-        FaultPlan {
-            transient_launches: (0..86).collect(),
-            ..FaultPlan::new()
-        },
-    );
-    serve_wave(&mut fleet, 12);
-    serve_wave(&mut fleet, 8);
+    }
 
     let report = fleet.report();
     assert!(report.replicas[1].lost, "replica 1 died for good");
@@ -427,7 +297,7 @@ fn chaos_run_recovers_breaker_and_sheds_typed() {
     assert!(report.retries >= 1, "serving-level retries happened");
     assert!(shed > 0, "degraded capacity shed some of the full queue");
     assert_eq!(report.shed as usize, shed);
-    assert_eq!(completed + shed, 26, "no request vanished");
+    assert_eq!(outcomes.len(), 26, "no request vanished");
     assert!(
         !report.degraded_intervals.is_empty(),
         "the degraded-mode window is on the record"

@@ -9,39 +9,31 @@
 //! Regenerate the golden files with `NEXTDOOR_BLESS=1 cargo test --test
 //! determinism` after an intentional change to the cost model or engines.
 
+mod common;
+
+use common::{check_golden, cpu_digest, digest, ppi_workload, thread_invariant};
 use nextdoor::apps::KHop;
 use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
+use nextdoor::core::tuning::{CacheConfig, TunerConfig};
 use nextdoor::core::{
-    initial_samples_random, run_cpu, run_nextdoor, run_sample_parallel, run_vanilla_tp, RunResult,
+    run_cpu, run_nextdoor, run_sample_parallel, run_vanilla_tp, RunResult, SamplerSession,
 };
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
-use nextdoor::graph::{Csr, Dataset, VertexId};
-use std::path::Path;
-
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+use nextdoor::graph::{Csr, VertexId};
+use nextdoor::serve::{MicroBatcher, Request, ServeConfig};
 
 fn workload() -> (Csr, Vec<Vec<VertexId>>, KHop) {
-    let graph = Dataset::Ppi.generate(0.02, 5);
-    let init = initial_samples_random(&graph, 48, 1, 11).unwrap();
+    let (graph, init) = ppi_workload(48);
     (graph, init, KHop::new(vec![3, 2]))
-}
-
-fn spec_with_threads(threads: usize) -> GpuSpec {
-    let mut spec = GpuSpec::small();
-    spec.host_threads = threads;
-    spec
 }
 
 /// Everything observable from a single-device run, in Rust's `{:?}` format
 /// (round-trip-exact for `f64`, so simulated cycle counts are compared
 /// bit-for-bit).
-fn digest(res: &RunResult, gpu: &Gpu) -> String {
+fn run_digest(res: &RunResult, gpu: &Gpu) -> String {
     format!(
-        "samples: {:?}\nedges: {:?}\ncounters: {:?}\nreport: {:?}\nsim_ms: {:?}\nprofile: {:?}\n",
-        res.store.final_samples(),
-        (0..res.store.num_samples())
-            .map(|s| res.store.edges_of(s).to_vec())
-            .collect::<Vec<_>>(),
+        "{}counters: {:?}\nreport: {:?}\nsim_ms: {:?}\nprofile: {:?}\n",
+        digest(&res.store),
         res.stats.counters,
         res.report,
         res.stats.total_ms,
@@ -49,41 +41,10 @@ fn digest(res: &RunResult, gpu: &Gpu) -> String {
     )
 }
 
-/// Compares `got` against the golden digest at `tests/golden/<name>.txt`,
-/// or rewrites it when `NEXTDOOR_BLESS=1`.
-fn check_golden(name: &str, got: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{name}.txt"));
-    if std::env::var("NEXTDOOR_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::write(&path, got).unwrap();
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); bless with NEXTDOOR_BLESS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        got, want,
-        "{name}: output diverged from the golden digest; if the change is \
-         intentional, regenerate with NEXTDOOR_BLESS=1"
-    );
-}
-
 /// Runs `f` once per worker count, asserts all digests are bit-identical,
 /// and checks the shared digest against the golden file.
 fn assert_thread_invariant(name: &str, f: impl Fn(GpuSpec) -> String) {
-    let baseline = f(spec_with_threads(1));
-    for t in &THREAD_COUNTS[1..] {
-        let d = f(spec_with_threads(*t));
-        assert_eq!(
-            baseline, d,
-            "{name}: output at {t} worker threads differs from sequential"
-        );
-    }
-    check_golden(name, &baseline);
+    check_golden(name, &thread_invariant(name, f));
 }
 
 #[test]
@@ -92,7 +53,7 @@ fn nextdoor_engine_is_thread_count_invariant() {
     assert_thread_invariant("nextdoor", |spec| {
         let mut gpu = Gpu::new(spec);
         let res = run_nextdoor(&mut gpu, &graph, &app, &init, 7).unwrap();
-        digest(&res, &gpu)
+        run_digest(&res, &gpu)
     });
 }
 
@@ -102,7 +63,7 @@ fn sample_parallel_engine_is_thread_count_invariant() {
     assert_thread_invariant("sample_parallel", |spec| {
         let mut gpu = Gpu::new(spec);
         let res = run_sample_parallel(&mut gpu, &graph, &app, &init, 7).unwrap();
-        digest(&res, &gpu)
+        run_digest(&res, &gpu)
     });
 }
 
@@ -112,7 +73,7 @@ fn vanilla_tp_engine_is_thread_count_invariant() {
     assert_thread_invariant("vanilla_tp", |spec| {
         let mut gpu = Gpu::new(spec);
         let res = run_vanilla_tp(&mut gpu, &graph, &app, &init, 7).unwrap();
-        digest(&res, &gpu)
+        run_digest(&res, &gpu)
     });
 }
 
@@ -127,7 +88,7 @@ fn fault_retry_run_is_thread_count_invariant() {
         gpu.inject_faults(FaultPlan::new().transient_at_launch(3));
         let res = run_nextdoor(&mut gpu, &graph, &app, &init, 7).unwrap();
         assert!(res.report.step_retries >= 1, "fault plan did not fire");
-        digest(&res, &gpu)
+        run_digest(&res, &gpu)
     });
 }
 
@@ -158,6 +119,25 @@ fn multi_gpu_failover_is_thread_count_invariant() {
     });
 }
 
+/// Serves `requests` in one drain of a fresh k-hop batcher on `spec`:
+/// each response's samples and latency split, and the batcher.
+fn drain_digest(spec: GpuSpec, graph: &Csr, requests: Vec<Request>) -> (String, MicroBatcher) {
+    let session =
+        SamplerSession::new(spec, graph.clone(), Box::new(KHop::new(vec![3, 2]))).unwrap();
+    let mut batcher = MicroBatcher::new(session, ServeConfig::default()).unwrap();
+    for req in requests {
+        batcher.submit(req).unwrap();
+    }
+    let out = (batcher.drain().iter())
+        .map(|(id, outcome)| {
+            let resp = outcome.as_ref().unwrap();
+            let samples = resp.store.final_samples();
+            format!("{id:?} samples: {samples:?}\nlatency: {:?}\n", resp.latency)
+        })
+        .collect();
+    (out, batcher)
+}
+
 #[test]
 fn fused_session_serving_is_thread_count_invariant() {
     // The serving path — a warm session answering a fused micro-batch —
@@ -166,35 +146,11 @@ fn fused_session_serving_is_thread_count_invariant() {
     // identically at any worker count, down to the latency split.
     let (graph, init, _) = workload();
     assert_thread_invariant("serve_fused", |spec| {
-        let session = nextdoor::core::SamplerSession::new(
-            spec,
-            graph.clone(),
-            Box::new(KHop::new(vec![3, 2])),
-        )
-        .unwrap();
-        let mut batcher =
-            nextdoor::serve::MicroBatcher::new(session, nextdoor::serve::ServeConfig::default())
-                .unwrap();
-        for (r, chunk) in init.chunks(16).enumerate() {
-            batcher
-                .submit(nextdoor::serve::Request::new(chunk.to_vec(), 7 + r as u64))
-                .unwrap();
-        }
-        let served = batcher.drain();
-        let mut out = String::new();
-        for (id, outcome) in &served {
-            let resp = outcome.as_ref().unwrap();
-            out.push_str(&format!(
-                "{id:?} samples: {:?}\nlatency: {:?}\n",
-                resp.store.final_samples(),
-                resp.latency,
-            ));
-        }
-        out.push_str(&format!(
-            "counters: {:?}\n",
-            batcher.session().gpu().counters()
-        ));
-        out
+        let requests = (init.chunks(16).enumerate())
+            .map(|(r, chunk)| Request::new(chunk.to_vec(), 7 + r as u64))
+            .collect();
+        let (out, batcher) = drain_digest(spec, &graph, requests);
+        format!("{out}counters: {:?}\n", batcher.session().gpu().counters())
     });
 }
 
@@ -206,43 +162,20 @@ fn mixed_width_fused_serving_is_thread_count_invariant() {
     // all reduce identically at any worker count.
     let (graph, init, _) = workload();
     assert_thread_invariant("serve_mixed_width", |spec| {
-        let session = nextdoor::core::SamplerSession::new(
-            spec,
-            graph.clone(),
-            Box::new(KHop::new(vec![3, 2])),
-        )
-        .unwrap();
-        let mut batcher =
-            nextdoor::serve::MicroBatcher::new(session, nextdoor::serve::ServeConfig::default())
-                .unwrap();
         // Widths alternate 1, 2, 1, 3 across requests built from the same
         // root pool, so a single drain mixes three width classes.
-        let widths = [1usize, 2, 1, 3];
-        for (r, &w) in widths.iter().enumerate() {
-            let roots: Vec<Vec<VertexId>> = init[r * 8..(r + 1) * 8]
-                .iter()
-                .map(|s| vec![s[0]; w])
-                .collect();
-            batcher
-                .submit(nextdoor::serve::Request::new(roots, 70 + r as u64))
-                .unwrap();
-        }
-        let served = batcher.drain();
-        let mut out = String::new();
-        for (id, outcome) in &served {
-            let resp = outcome.as_ref().unwrap();
-            out.push_str(&format!(
-                "{id:?} samples: {:?}\nlatency: {:?}\n",
-                resp.store.final_samples(),
-                resp.latency,
-            ));
-        }
-        out.push_str(&format!(
-            "launches: {} counters: {:?}\n",
-            batcher.launches(),
-            batcher.session().gpu().counters()
-        ));
-        out
+        let requests = ([1usize, 2, 1, 3].iter().enumerate())
+            .map(|(r, &w)| {
+                let roots = init[r * 8..(r + 1) * 8].iter().map(|s| vec![s[0]; w]);
+                Request::new(roots.collect(), 70 + r as u64)
+            })
+            .collect();
+        let (out, batcher) = drain_digest(spec, &graph, requests);
+        let counters = batcher.session().gpu().counters();
+        format!(
+            "{out}launches: {} counters: {counters:?}\n",
+            batcher.launches()
+        )
     });
 }
 
@@ -253,29 +186,20 @@ fn tuned_session_is_thread_count_invariant() {
     // frequency counts, so a tuned session's whole observable surface —
     // samples, the derived plan, replan count and cache counters — must be
     // bit-identical at any worker count. Samples are additionally checked
-    // against an untuned session inline (they share a golden invariant,
-    // not a golden file: tuning may only move cost-side observables).
-    let (graph, init, _) = workload();
+    // against the CPU oracle inline (tuning may only move cost-side
+    // observables).
+    let (graph, init, app) = workload();
     assert_thread_invariant("tuned_session", |spec| {
-        let mk = || {
-            nextdoor::core::SamplerSession::new(
-                spec.clone(),
-                graph.clone(),
-                Box::new(KHop::new(vec![3, 2])),
-            )
-            .unwrap()
-        };
-        let mut tuned = mk();
-        tuned.enable_autotune(nextdoor::core::tuning::TunerConfig { warmup_queries: 1 });
-        tuned.enable_hot_cache(nextdoor::core::tuning::CacheConfig { min_hits: 1 });
-        let mut plain = mk();
+        let mut tuned = SamplerSession::new(spec, graph.clone(), Box::new(app.clone())).unwrap();
+        tuned.enable_autotune(TunerConfig { warmup_queries: 1 });
+        tuned.enable_hot_cache(CacheConfig { min_hits: 1 });
         let mut out = String::new();
         for q in 0..4u64 {
             let res = tuned.query(&init, 7 + q).unwrap();
-            let want = plain.query(&init, 7 + q).unwrap();
+            let want = cpu_digest(&graph, &app, &init, 7 + q);
             assert_eq!(
-                res.store.final_samples(),
-                want.store.final_samples(),
+                digest(&res.store),
+                want,
                 "tuning changed samples on query {q}"
             );
             out.push_str(&format!("q{q} samples: {:?}\n", res.store.final_samples()));
@@ -331,7 +255,7 @@ fn serve_observability_is_thread_count_invariant() {
         .unwrap();
         let mut fleet = nextdoor::serve::FleetBatcher::new(
             pool,
-            nextdoor::serve::ServeConfig {
+            ServeConfig {
                 max_batch: 4,
                 max_queue: 8,
                 default_deadline_ms: None,
@@ -341,10 +265,7 @@ fn serve_observability_is_thread_count_invariant() {
         for (w, chunk) in init.chunks(8).enumerate() {
             for (i, s) in chunk.iter().enumerate() {
                 fleet
-                    .submit(nextdoor::serve::Request::new(
-                        vec![s.clone()],
-                        (w * 8 + i) as u64,
-                    ))
+                    .submit(Request::new(vec![s.clone()], (w * 8 + i) as u64))
                     .unwrap();
             }
             fleet.drain();

@@ -3,20 +3,23 @@
 //! distribution of each application, on small fixed graphs where that
 //! target can be computed in closed form.
 //!
-//! Every test runs against both the CPU oracle and the NextDoor engine.
+//! Each law is checked on the CPU engine, and on the same inputs the
+//! differential oracle of `tests/common` checks that every placement
+//! produces exactly the CPU's samples, so the law holds on all of them.
 //! Because all randomness is keyed by `(seed, sample, step, slot)`, the
 //! empirical counts are a deterministic function of the seed list, so these
 //! tests are *not* flaky: the significance threshold (chi-squared critical
 //! value at alpha = 0.001) guards against implementation bias, not against
 //! re-run noise.
 
+mod common;
+
+use common::{check, Case, MakeApp, Reach};
 use nextdoor::apps::{DeepWalk, KHop, Ladies, Layer, Node2Vec};
-use nextdoor::core::{
-    run_cpu, run_nextdoor, SampleStore, SamplingApp, ShardedSampler, NULL_VERTEX,
-};
-use nextdoor::gpu::{Gpu, GpuSpec};
+use nextdoor::core::{run_cpu, SampleStore, NULL_VERTEX};
 use nextdoor::graph::{Csr, GraphBuilder, VertexId};
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 /// Chi-squared critical values at alpha = 0.001 for the degrees of freedom
 /// used below.
@@ -30,13 +33,13 @@ fn chi2_critical(df: usize) -> f64 {
     }
 }
 
-/// Pearson's chi-squared statistic of observed counts against exact
-/// per-category probabilities.
-fn chi_squared(counts: &[u64], probs: &[f64]) -> f64 {
+/// Asserts that `counts` fit the exact per-category probabilities `probs`:
+/// Pearson's chi-squared statistic stays below the critical value.
+fn assert_fits(law: &str, counts: &[u64], probs: &[f64]) {
     assert_eq!(counts.len(), probs.len());
     let n: u64 = counts.iter().sum();
     assert!(n > 0, "no observations");
-    counts
+    let chi2: f64 = counts
         .iter()
         .zip(probs)
         .map(|(&c, &p)| {
@@ -44,7 +47,12 @@ fn chi_squared(counts: &[u64], probs: &[f64]) -> f64 {
             assert!(e >= 5.0, "expected count {e:.1} too small for chi-squared");
             (c as f64 - e).powi(2) / e
         })
-        .sum()
+        .sum();
+    let critical = chi2_critical(probs.len() - 1);
+    assert!(
+        chi2 < critical,
+        "{law}: chi2 = {chi2:.2} over critical {critical} (counts {counts:?}, law {probs:?})"
+    );
 }
 
 /// The exact law of a capped rejection sampler: `probes` rounds draw a
@@ -61,67 +69,41 @@ fn rejection_law(accept: &[f64], probes: u32) -> Vec<f64> {
         .collect()
 }
 
-type AppFactory = dyn Fn() -> Box<dyn SamplingApp + Send>;
-type Runner = dyn Fn(&Csr, &AppFactory, &[Vec<VertexId>], u64) -> SampleStore;
+const SEEDS: [u64; 5] = [11, 23, 47, 101, 9001];
 
-/// Both execution paths under test: the sequential CPU oracle and the full
-/// transit-parallel NextDoor engine on the simulated GPU.
-fn runners() -> Vec<(&'static str, Box<Runner>)> {
-    vec![
-        (
-            "cpu",
-            Box::new(
-                |g: &Csr, app: &AppFactory, init: &[Vec<VertexId>], seed: u64| {
-                    run_cpu(g, app().as_ref(), init, seed).unwrap().store
-                },
-            ) as Box<Runner>,
-        ),
-        (
-            "nextdoor",
-            Box::new(
-                |g: &Csr, app: &AppFactory, init: &[Vec<VertexId>], seed: u64| {
-                    let mut gpu = Gpu::new(GpuSpec::small());
-                    run_nextdoor(&mut gpu, g, app().as_ref(), init, seed)
-                        .unwrap()
-                        .store
-                },
-            ),
-        ),
-    ]
-}
-
-/// The sharded engine at 2 and 3 shards: same draws, routed through
-/// partition-aware super-steps with cross-shard hand-off. Only individual
-/// transit sampling is shardable, so these runners join the `runners()`
-/// list for the k-hop and random-walk laws, not the collective ones.
-fn sharded_runners() -> Vec<(&'static str, Box<Runner>)> {
-    [("sharded-2", 2usize), ("sharded-3", 3usize)]
-        .into_iter()
-        .map(|(name, shards)| {
-            let runner: Box<Runner> = Box::new(
-                move |g: &Csr, app: &AppFactory, init: &[Vec<VertexId>], seed: u64| {
-                    let mut s =
-                        ShardedSampler::new(GpuSpec::small(), g.clone(), app(), shards, 0x5AD0)
-                            .unwrap();
-                    s.query(init, seed).unwrap().store
-                },
+/// The CPU engine's store of `app` over `init` at each seed of [`SEEDS`],
+/// once the oracle has checked every placement on the same inputs.
+fn stores(g: &Csr, app: MakeApp, init: &[Vec<VertexId>]) -> Vec<SampleStore> {
+    SEEDS
+        .iter()
+        .map(|&seed| {
+            check(
+                &Case::new(g.clone(), app, init.to_vec(), seed),
+                &mut Reach::default(),
             );
-            (name, runner)
+            run_cpu(g, app().as_ref(), init, seed).unwrap().store
         })
         .collect()
 }
 
-const SEEDS: [u64; 5] = [11, 23, 47, 101, 9001];
-
-/// Tallies the step-`step` values of every sample into per-vertex counts.
-fn count_step_vertices(store: &SampleStore, step: usize) -> BTreeMap<VertexId, u64> {
+/// How often each of `vertices` was drawn at step 0, over every seed.
+fn step0_counts(
+    g: &Csr,
+    app: MakeApp,
+    init: &[Vec<VertexId>],
+    vertices: RangeInclusive<VertexId>,
+) -> Vec<u64> {
     let mut counts = BTreeMap::new();
-    for &v in &store.step_values(step).values {
-        if v != NULL_VERTEX {
-            *counts.entry(v).or_insert(0u64) += 1;
+    for store in stores(g, app, init) {
+        for &v in &store.step_values(0).values {
+            if v != NULL_VERTEX {
+                *counts.entry(v).or_insert(0u64) += 1;
+            }
         }
     }
-    counts
+    vertices
+        .map(|v| counts.get(&v).copied().unwrap_or(0))
+        .collect()
 }
 
 #[test]
@@ -133,25 +115,8 @@ fn khop_draws_are_uniform_over_neighbours() {
     }
     let g = b.build().unwrap();
     let init: Vec<Vec<VertexId>> = (0..2000).map(|_| vec![0]).collect();
-    let probs = vec![1.0 / 8.0; 8];
-    for (name, run) in runners().into_iter().chain(sharded_runners()) {
-        let mut counts = BTreeMap::new();
-        for seed in SEEDS {
-            let res = run(&g, &|| Box::new(KHop::new(vec![1])), &init, seed);
-            for (v, c) in count_step_vertices(&res, 0) {
-                *counts.entry(v).or_insert(0u64) += c;
-            }
-        }
-        let obs: Vec<u64> = (1..=8)
-            .map(|v| counts.get(&v).copied().unwrap_or(0))
-            .collect();
-        let chi2 = chi_squared(&obs, &probs);
-        assert!(
-            chi2 < chi2_critical(7),
-            "{name}: k-hop chi2 = {chi2:.2} over critical {} (counts {obs:?})",
-            chi2_critical(7)
-        );
-    }
+    let obs = step0_counts(&g, || Box::new(KHop::new(vec![1])), &init, 1..=8);
+    assert_fits("k-hop", &obs, &[1.0 / 8.0; 8]);
 }
 
 #[test]
@@ -170,27 +135,10 @@ fn layer_draws_are_uniform_over_combined_neighbourhood() {
         .build()
         .unwrap();
     let init: Vec<Vec<VertexId>> = (0..1500).map(|_| vec![0, 9]).collect();
-    let probs = [1.0, 2.0, 2.0, 1.0, 1.0].map(|m| m / 7.0);
-    for (name, run) in runners() {
-        let mut counts = BTreeMap::new();
-        for seed in SEEDS {
-            // step_size 4, max_size 6: step 0 draws 4 vertices per batch of
-            // 2, then the sample is full — only step 0 is analysed.
-            let res = run(&g, &|| Box::new(Layer::new(4, 6)), &init, seed);
-            for (v, c) in count_step_vertices(&res, 0) {
-                *counts.entry(v).or_insert(0u64) += c;
-            }
-        }
-        let obs: Vec<u64> = (1..=5)
-            .map(|v| counts.get(&v).copied().unwrap_or(0))
-            .collect();
-        let chi2 = chi_squared(&obs, &probs);
-        assert!(
-            chi2 < chi2_critical(4),
-            "{name}: layer chi2 = {chi2:.2} over critical {} (counts {obs:?})",
-            chi2_critical(4)
-        );
-    }
+    // step_size 4, max_size 6: step 0 draws 4 vertices per batch of 2,
+    // then the sample is full — only step 0 is analysed.
+    let obs = step0_counts(&g, || Box::new(Layer::new(4, 6)), &init, 1..=5);
+    assert_fits("layer", &obs, &[1.0, 2.0, 2.0, 1.0, 1.0].map(|m| m / 7.0));
 }
 
 #[test]
@@ -217,26 +165,9 @@ fn ladies_draws_follow_degree_biased_rejection_law() {
         .iter()
         .map(|&deg: &f64| (deg / (deg + 8.0)).max(0.05))
         .collect();
-    let probs = rejection_law(&accept, 8);
     let init: Vec<Vec<VertexId>> = (0..800).map(|_| vec![0]).collect();
-    for (name, run) in runners() {
-        let mut counts = BTreeMap::new();
-        for seed in SEEDS {
-            let res = run(&g, &|| Box::new(Ladies::new(1, 8)), &init, seed);
-            for (v, c) in count_step_vertices(&res, 0) {
-                *counts.entry(v).or_insert(0u64) += c;
-            }
-        }
-        let obs: Vec<u64> = (1..=4)
-            .map(|v| counts.get(&v).copied().unwrap_or(0))
-            .collect();
-        let chi2 = chi_squared(&obs, &probs);
-        assert!(
-            chi2 < chi2_critical(3),
-            "{name}: LADIES chi2 = {chi2:.2} over critical {} (counts {obs:?}, law {probs:?})",
-            chi2_critical(3)
-        );
-    }
+    let obs = step0_counts(&g, || Box::new(Ladies::new(1, 8)), &init, 1..=4);
+    assert_fits("LADIES", &obs, &rejection_law(&accept, 8));
 }
 
 #[test]
@@ -249,33 +180,17 @@ fn deepwalk_draws_follow_weight_biased_rejection_law() {
         .weighted_edge(0, 3, 4.0)
         .build()
         .unwrap();
-    let probs = rejection_law(&[0.25, 0.5, 1.0], 24);
     let init: Vec<Vec<VertexId>> = (0..2000).map(|_| vec![0]).collect();
-    for (name, run) in runners().into_iter().chain(sharded_runners()) {
-        let mut counts = BTreeMap::new();
-        for seed in SEEDS {
-            let res = run(&g, &|| Box::new(DeepWalk::new(1)), &init, seed);
-            for (v, c) in count_step_vertices(&res, 0) {
-                *counts.entry(v).or_insert(0u64) += c;
-            }
-        }
-        let obs: Vec<u64> = (1..=3)
-            .map(|v| counts.get(&v).copied().unwrap_or(0))
-            .collect();
-        let chi2 = chi_squared(&obs, &probs);
-        assert!(
-            chi2 < chi2_critical(2),
-            "{name}: DeepWalk chi2 = {chi2:.2} over critical {} (counts {obs:?}, law {probs:?})",
-            chi2_critical(2)
-        );
-    }
+    let obs = step0_counts(&g, || Box::new(DeepWalk::new(1)), &init, 1..=3);
+    assert_fits("DeepWalk", &obs, &rejection_law(&[0.25, 0.5, 1.0], 24));
 }
 
-/// node2vec step-1 law conditioned on the walk being at transit 1 with
+/// node2vec's step-1 law conditioned on the walk being at transit 1 with
 /// previous vertex 0: candidate 0 is the return edge (weight `p`), 9 is a
 /// common neighbour of 0 (weight `1/q`), 2 is neither (weight 1). The
 /// rejection sampler normalises by `max(p, 1, 1/q)`.
-fn node2vec_transition_counts(p: f32, q: f32) -> (Vec<f64>, Vec<(String, Vec<u64>)>) {
+#[test]
+fn node2vec_transitions_follow_pq_matrix() {
     let g = GraphBuilder::new(10)
         .edge(0, 1)
         .edge(0, 9)
@@ -285,20 +200,21 @@ fn node2vec_transition_counts(p: f32, q: f32) -> (Vec<f64>, Vec<(String, Vec<u64
         .edge(9, 0)
         .build()
         .unwrap();
-    let upper = f64::from(p.max(1.0).max(1.0 / q));
-    let accept: Vec<f64> = [f64::from(p), 1.0, f64::from(1.0 / q)]
-        .iter()
-        .map(|w| w / upper)
-        .collect();
-    let probs = rejection_law(&accept, 24);
     let init: Vec<Vec<VertexId>> = (0..3000).map(|_| vec![0]).collect();
-    let mut all = Vec::new();
-    for (name, run) in runners() {
+    let walks: [(MakeApp, f32, f32); 2] = [
+        (|| Box::new(Node2Vec::new(2, 2.0, 0.5)), 2.0, 0.5),
+        (|| Box::new(Node2Vec::new(2, 0.5, 4.0)), 0.5, 4.0),
+    ];
+    for (app, p, q) in walks {
+        let upper = f64::from(p.max(1.0).max(1.0 / q));
+        let accept: Vec<f64> = [f64::from(p), 1.0, f64::from(1.0 / q)]
+            .iter()
+            .map(|w| w / upper)
+            .collect();
         // Counts for transitions 1 -> {0, 2, 9}.
         let mut counts = [0u64; 3];
-        for seed in SEEDS {
-            let res = run(&g, &move || Box::new(Node2Vec::new(2, p, q)), &init, seed);
-            for s in res.final_samples() {
+        for store in stores(&g, app, &init) {
+            for s in store.final_samples() {
                 // Condition on the walk being 0 -> 1 after step 0; the
                 // step-1 RNG stream is keyed independently of step 0, so
                 // this filter does not bias the transition law.
@@ -312,23 +228,7 @@ fn node2vec_transition_counts(p: f32, q: f32) -> (Vec<f64>, Vec<(String, Vec<u64
                 }
             }
         }
-        all.push((name.to_string(), counts.to_vec()));
-    }
-    (probs, all)
-}
-
-#[test]
-fn node2vec_transitions_follow_pq_matrix() {
-    for (p, q) in [(2.0f32, 0.5f32), (0.5, 4.0)] {
-        let (probs, per_runner) = node2vec_transition_counts(p, q);
-        for (name, counts) in per_runner {
-            let chi2 = chi_squared(&counts, &probs);
-            assert!(
-                chi2 < chi2_critical(2),
-                "{name}: node2vec(p={p}, q={q}) chi2 = {chi2:.2} over critical {} \
-                 (counts {counts:?}, law {probs:?})",
-                chi2_critical(2)
-            );
-        }
+        let law = format!("node2vec(p={p}, q={q})");
+        assert_fits(&law, &counts, &rejection_law(&accept, 24));
     }
 }

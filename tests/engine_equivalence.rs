@@ -1,13 +1,14 @@
-//! Cross-engine equivalence: every engine must produce bit-identical
-//! samples for every benchmark application, because all randomness is
-//! keyed by logical coordinates rather than execution order. This is the
-//! workspace's strongest correctness check — it exercises the full
-//! transit-parallel machinery (scheduling index, all three kernel classes,
-//! collective neighbourhood building) against the sequential oracle.
+//! Cross-engine equivalence on a PPI-like graph: every placement must
+//! produce the CPU oracle's samples and edges for every benchmark
+//! application, because all randomness is keyed by logical coordinates
+//! rather than execution order. Each test hands its inputs to the
+//! differential oracle of `tests/common`.
 
+mod common;
+
+use common::{check, Case, MakeApp, Reach};
 use nextdoor::apps;
-use nextdoor::core::{run_cpu, run_nextdoor, run_sample_parallel, run_vanilla_tp, SamplingApp};
-use nextdoor::gpu::{Gpu, GpuSpec};
+use nextdoor::core::{initial_samples_random, run_cpu};
 use nextdoor::graph::{cluster_vertices, Csr, Dataset, VertexId};
 
 fn graph() -> Csr {
@@ -16,79 +17,67 @@ fn graph() -> Csr {
         .with_random_weights(1.0, 5.0, 9)
 }
 
-fn check_all_engines(app: &dyn SamplingApp, graph: &Csr, init: &[Vec<VertexId>]) {
-    let cpu = run_cpu(graph, app, init, 99).unwrap();
-    let mut g1 = Gpu::new(GpuSpec::small());
-    let nd = run_nextdoor(&mut g1, graph, app, init, 99).unwrap();
-    let mut g2 = Gpu::new(GpuSpec::small());
-    let sp = run_sample_parallel(&mut g2, graph, app, init, 99).unwrap();
-    let mut g3 = Gpu::new(GpuSpec::small());
-    let tp = run_vanilla_tp(&mut g3, graph, app, init, 99).unwrap();
-    let oracle = cpu.store.final_samples();
-    assert_eq!(
-        oracle,
-        nd.store.final_samples(),
-        "{}: ND != CPU",
-        app.name()
-    );
-    assert_eq!(
-        oracle,
-        sp.store.final_samples(),
-        "{}: SP != CPU",
-        app.name()
-    );
-    assert_eq!(
-        oracle,
-        tp.store.final_samples(),
-        "{}: TP != CPU",
-        app.name()
-    );
-    // Recorded application edges must agree too.
-    for s in 0..init.len() {
-        assert_eq!(
-            cpu.store.edges_of(s),
-            nd.store.edges_of(s),
-            "{}: sample {s} edges diverged",
-            app.name()
-        );
-    }
-}
-
 fn walk_init(graph: &Csr, n: usize) -> Vec<Vec<VertexId>> {
-    nextdoor::core::initial_samples_random(graph, n, 1, 5).expect("non-empty graph")
+    initial_samples_random(graph, n, 1, 5).expect("non-empty graph")
 }
 
 #[test]
 fn walks_are_engine_independent() {
     let g = graph();
     let init = walk_init(&g, 96);
-    check_all_engines(&apps::DeepWalk::new(15), &g, &init);
-    check_all_engines(&apps::Ppr::new(0.05), &g, &init);
-    check_all_engines(&apps::Node2Vec::new(15, 2.0, 0.5), &g, &init);
+    let walks: [MakeApp; 3] = [
+        || Box::new(apps::DeepWalk::new(15)),
+        || Box::new(apps::Ppr::new(0.05)),
+        || Box::new(apps::Node2Vec::new(15, 2.0, 0.5)),
+    ];
+    for app in walks {
+        check(
+            &Case::new(g.clone(), app, init.clone(), 99),
+            &mut Reach::default(),
+        );
+    }
 }
 
 #[test]
 fn multirw_is_engine_independent() {
     let g = graph();
-    let init = nextdoor::core::initial_samples_random(&g, 24, 16, 6).unwrap();
-    check_all_engines(&apps::MultiRw::new(20), &g, &init);
+    let init = initial_samples_random(&g, 24, 16, 6).unwrap();
+    let app: MakeApp = || Box::new(apps::MultiRw::new(20));
+    check(&Case::new(g, app, init, 99), &mut Reach::default());
 }
 
 #[test]
 fn khop_and_mvs_are_engine_independent() {
     let g = graph();
-    check_all_engines(&apps::KHop::new(vec![10, 5]), &g, &walk_init(&g, 64));
-    let batches = nextdoor::core::initial_samples_random(&g, 16, 32, 7).unwrap();
-    check_all_engines(&apps::Mvs::new(2), &g, &batches);
+    let khop: MakeApp = || Box::new(apps::KHop::new(vec![10, 5]));
+    check(
+        &Case::new(g.clone(), khop, walk_init(&g, 64), 99),
+        &mut Reach::default(),
+    );
+    let batches = initial_samples_random(&g, 16, 32, 7).unwrap();
+    let mvs: MakeApp = || Box::new(apps::Mvs::new(2));
+    check(&Case::new(g, mvs, batches, 99), &mut Reach::default());
 }
 
 #[test]
 fn collective_apps_are_engine_independent() {
     let g = graph();
-    check_all_engines(&apps::Layer::new(16, 48), &g, &walk_init(&g, 32));
-    let batches = nextdoor::core::initial_samples_random(&g, 12, 16, 8).unwrap();
-    check_all_engines(&apps::FastGcn::new(2, 24), &g, &batches);
-    check_all_engines(&apps::Ladies::new(2, 24), &g, &batches);
+    let layer: MakeApp = || Box::new(apps::Layer::new(16, 48));
+    check(
+        &Case::new(g.clone(), layer, walk_init(&g, 32), 99),
+        &mut Reach::default(),
+    );
+    let batches = initial_samples_random(&g, 12, 16, 8).unwrap();
+    let importance: [MakeApp; 2] = [
+        || Box::new(apps::FastGcn::new(2, 24)),
+        || Box::new(apps::Ladies::new(2, 24)),
+    ];
+    for app in importance {
+        check(
+            &Case::new(g.clone(), app, batches.clone(), 99),
+            &mut Reach::default(),
+        );
+    }
 }
 
 #[test]
@@ -96,7 +85,8 @@ fn clustergcn_is_engine_independent() {
     let g = graph();
     let clustering = cluster_vertices(&g, 12, 4).unwrap();
     let init = apps::cluster_gcn_samples(&g, &clustering, 2, 8, 3);
-    check_all_engines(&apps::ClusterGcn::new(32), &g, &init);
+    let app: MakeApp = || Box::new(apps::ClusterGcn::new(32));
+    check(&Case::new(g, app, init, 99), &mut Reach::default());
 }
 
 #[test]

@@ -1,15 +1,25 @@
 //! End-to-end fault-injection scenarios: scripted `FaultPlan`s drive the
 //! recovery machinery (degradation to out-of-core, step retry, multi-GPU
-//! failover) and every surviving run must produce samples byte-identical
-//! to a fault-free run — the counter-based RNG makes re-execution exact.
+//! failover) and every surviving run must produce the CPU oracle's samples
+//! byte for byte — the counter-based RNG makes re-execution exact.
 
+mod common;
+
+use common::{cpu_digest, digest};
 use nextdoor::apps::KHop;
 use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
 use nextdoor::core::{initial_samples_random, run_nextdoor, NextDoorError};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
-use nextdoor::graph::Dataset;
+use nextdoor::graph::{Csr, Dataset, VertexId};
 
-/// The issue's acceptance scenario: one multi-GPU k-hop run that survives
+/// The PPI stand-in with `n` one-root samples.
+fn workload(n: usize) -> (Csr, Vec<Vec<VertexId>>) {
+    let graph = Dataset::Ppi.generate(0.02, 3);
+    let init = initial_samples_random(&graph, n, 1, 9).unwrap();
+    (graph, init)
+}
+
+/// The acceptance scenario: one multi-GPU k-hop run that survives
 /// an upload OOM (degrading that shard to out-of-core), a transient kernel
 /// fault (retried), and a whole-device loss (failed over) — and still
 /// returns exactly the samples of a fault-free run.
@@ -19,8 +29,6 @@ fn scripted_faults_survive_a_multi_gpu_khop_run() {
     let init = initial_samples_random(&graph, 96, 1, 11).unwrap();
     let app = KHop::new(vec![4, 2]);
     let spec = GpuSpec::small();
-
-    let clean = run_nextdoor_multi_gpu(&spec, 3, &graph, &app, &init, 7, &[]).unwrap();
 
     let plans = vec![
         // Device 0: the very first allocation (the graph upload) fails,
@@ -48,11 +56,17 @@ fn scripted_faults_survive_a_multi_gpu_khop_run() {
     assert_eq!(faulty.report.devices_lost, 1, "{}", faulty.report);
     assert_eq!(faulty.report.failovers, 1, "{}", faulty.report);
 
-    assert_eq!(clean.per_gpu.len(), faulty.per_gpu.len());
-    for (c, f) in clean.per_gpu.iter().zip(&faulty.per_gpu) {
+    // Shard `i` holds the `i`-th third of the samples, keyed `seed ^ i`.
+    assert_eq!(faulty.per_gpu.len(), 3);
+    for (shard, (f, init)) in faulty
+        .per_gpu
+        .iter()
+        .zip(init.chunks(init.len().div_ceil(3)))
+        .enumerate()
+    {
         assert_eq!(
-            c.store.final_samples(),
-            f.store.final_samples(),
+            digest(&f.store),
+            cpu_digest(&graph, &app, init, 7 ^ shard as u64),
             "faulty run must reproduce the fault-free samples exactly"
         );
     }
@@ -60,43 +74,33 @@ fn scripted_faults_survive_a_multi_gpu_khop_run() {
 
 #[test]
 fn upload_oom_degrades_to_out_of_core_with_identical_samples() {
-    let graph = Dataset::Ppi.generate(0.02, 3);
-    let init = initial_samples_random(&graph, 64, 1, 9).unwrap();
+    let (graph, init) = workload(64);
     let app = KHop::new(vec![3, 2]);
-
-    let mut clean_gpu = Gpu::new(GpuSpec::small());
-    let clean = run_nextdoor(&mut clean_gpu, &graph, &app, &init, 4).unwrap();
-    assert!(clean.report.is_clean());
 
     let mut gpu = Gpu::new(GpuSpec::small());
     gpu.inject_faults(FaultPlan::new().fail_alloc(0));
     let degraded = run_nextdoor(&mut gpu, &graph, &app, &init, 4).unwrap();
     assert!(degraded.report.degraded_to_out_of_core);
     assert!(degraded.report.alloc_faults >= 1);
-    assert_eq!(clean.store.final_samples(), degraded.store.final_samples());
+    assert_eq!(digest(&degraded.store), cpu_digest(&graph, &app, &init, 4));
 }
 
 #[test]
 fn transient_fault_is_retried_transparently() {
-    let graph = Dataset::Ppi.generate(0.02, 3);
-    let init = initial_samples_random(&graph, 64, 1, 9).unwrap();
+    let (graph, init) = workload(64);
     let app = KHop::new(vec![3, 2]);
-
-    let mut clean_gpu = Gpu::new(GpuSpec::small());
-    let clean = run_nextdoor(&mut clean_gpu, &graph, &app, &init, 4).unwrap();
 
     let mut gpu = Gpu::new(GpuSpec::small());
     gpu.inject_faults(FaultPlan::new().transient_at_launch(2));
     let retried = run_nextdoor(&mut gpu, &graph, &app, &init, 4).unwrap();
     assert!(retried.report.transient_faults >= 1);
     assert!(retried.report.step_retries >= 1);
-    assert_eq!(clean.store.final_samples(), retried.store.final_samples());
+    assert_eq!(digest(&retried.store), cpu_digest(&graph, &app, &init, 4));
 }
 
 #[test]
 fn persistent_watchdog_timeouts_exhaust_retries_into_a_typed_error() {
-    let graph = Dataset::Ppi.generate(0.02, 3);
-    let init = initial_samples_random(&graph, 64, 1, 9).unwrap();
+    let (graph, init) = workload(64);
 
     let mut gpu = Gpu::new(GpuSpec::small());
     // A budget no kernel can meet: every attempt times out, the bounded
@@ -114,8 +118,7 @@ fn persistent_watchdog_timeouts_exhaust_retries_into_a_typed_error() {
 
 #[test]
 fn lost_single_device_is_a_typed_error_not_a_panic() {
-    let graph = Dataset::Ppi.generate(0.02, 3);
-    let init = initial_samples_random(&graph, 32, 1, 9).unwrap();
+    let (graph, init) = workload(32);
 
     let mut gpu = Gpu::new(GpuSpec::small());
     gpu.inject_faults(FaultPlan::new().lose_device_at_launch(1));

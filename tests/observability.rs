@@ -7,20 +7,17 @@
 //! replay the same f64 expressions in the same order as the machinery
 //! they observe.
 
+mod common;
+
+use common::ppi_workload;
 use nextdoor::apps::KHop;
-use nextdoor::core::{initial_samples_random, SamplerSession};
+use nextdoor::core::SamplerSession;
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
-use nextdoor::graph::{Csr, Dataset, VertexId};
+use nextdoor::graph::VertexId;
 use nextdoor::serve::{
     BreakerConfig, FleetBatcher, MicroBatcher, PoolConfig, Priority, ReplicaPool, Request,
     ServeConfig, ServeError, SpanKind,
 };
-
-fn workload() -> (Csr, Vec<Vec<VertexId>>) {
-    let graph = Dataset::Ppi.generate(0.02, 5);
-    let init = initial_samples_random(&graph, 48, 1, 11).unwrap();
-    (graph, init)
-}
 
 fn app() -> Box<dyn nextdoor::core::SamplingApp + Send> {
     Box::new(KHop::new(vec![3, 2]))
@@ -31,7 +28,7 @@ fn app() -> Box<dyn nextdoor::core::SamplingApp + Send> {
 /// the drain's outcomes and the device's launch total.
 #[test]
 fn micro_batcher_spans_and_metrics_reproduce_the_drain() {
-    let (graph, init) = workload();
+    let (graph, init) = ppi_workload(48);
     let session = SamplerSession::new(GpuSpec::small(), graph, app()).unwrap();
     let mut b = MicroBatcher::new(session, ServeConfig::default()).unwrap();
     // Mixed widths so the drain produces a multi-class fused dispatch.
@@ -144,7 +141,7 @@ fn micro_batcher_spans_and_metrics_reproduce_the_drain() {
 /// cool-down wait, and a degraded-mode shed.
 #[test]
 fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
-    let (graph, init) = workload();
+    let (graph, init) = ppi_workload(48);
     let mk_gpu = |plan: Option<FaultPlan>| {
         let mut gpu = Gpu::new(GpuSpec::small());
         if let Some(p) = plan {

@@ -3,6 +3,9 @@
 //! measurements say they do. These are the repository's executable versions
 //! of the evaluation's qualitative claims.
 
+mod common;
+
+use common::ENGINES;
 use nextdoor::apps::{DeepWalk, KHop, Layer};
 use nextdoor::core::{run_nextdoor, run_sample_parallel, run_vanilla_tp};
 use nextdoor::gpu::{Gpu, GpuSpec};
@@ -130,23 +133,7 @@ fn scheduler_invariants_hold_for_every_kernel_of_every_engine() {
     let init = roots(&g, 512);
     let app = KHop::new(vec![8, 4]);
     let num_sms = GpuSpec::small().num_sms as f64;
-    type EngineFn = fn(
-        &mut Gpu,
-        &Csr,
-        &dyn nextdoor::core::SamplingApp,
-        &[Vec<VertexId>],
-        u64,
-    ) -> Result<nextdoor::core::RunResult, nextdoor::core::NextDoorError>;
-    let engines: [(&str, EngineFn); 3] = [
-        ("nextdoor", |gpu, g, a, i, s| run_nextdoor(gpu, g, a, i, s)),
-        ("sample_parallel", |gpu, g, a, i, s| {
-            run_sample_parallel(gpu, g, a, i, s)
-        }),
-        ("vanilla_tp", |gpu, g, a, i, s| {
-            run_vanilla_tp(gpu, g, a, i, s)
-        }),
-    ];
-    for (name, run) in engines {
+    for (name, run) in ENGINES {
         let mut gpu = Gpu::new(GpuSpec::small());
         run(&mut gpu, &g, &app, &init, 31).unwrap();
         let mut checked = 0usize;

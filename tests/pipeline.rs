@@ -1,11 +1,13 @@
 //! End-to-end pipeline tests spanning crates: GNN training driven by the
 //! sampling engines, multi-GPU sampling, and out-of-core sampling.
 
+mod common;
+
+use common::{check_placement, cpu_digest, digest, Case, MakeApp, Placement, Reach};
 use nextdoor::apps::{DeepWalk, KHop};
 use nextdoor::baselines::cpu_samplers::khop_sampler;
 use nextdoor::core::large_graph::run_nextdoor_out_of_core;
-use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
-use nextdoor::core::{initial_samples_random, run_cpu, run_nextdoor};
+use nextdoor::core::{initial_samples_random, run_nextdoor};
 use nextdoor::gnn::{GraphSageModel, Trainer};
 use nextdoor::gpu::{Gpu, GpuSpec};
 use nextdoor::graph::{Dataset, VertexId};
@@ -50,26 +52,16 @@ fn gnn_trains_with_both_samplers_and_learns() {
 
 #[test]
 fn multi_gpu_covers_all_samples_and_validates() {
+    // The oracle requires an outcome for each of the 200 samples and each
+    // device's shard to equal the CPU's walks keyed `seed ^ shard`.
     let graph = Dataset::Ppi.generate(0.02, 2);
     let init = initial_samples_random(&graph, 200, 1, 3).unwrap();
-    let res = run_nextdoor_multi_gpu(
-        &GpuSpec::small(),
-        4,
-        &graph,
-        &DeepWalk::new(8),
-        &init,
-        9,
-        &[],
-    )
-    .unwrap();
-    assert_eq!(res.total_samples(), 200);
-    for per_gpu in &res.per_gpu {
-        for s in per_gpu.store.final_samples() {
-            for w in s.windows(2) {
-                assert!(graph.has_edge(w[0], w[1]));
-            }
-        }
-    }
+    let app: MakeApp = || Box::new(DeepWalk::new(8));
+    let case = Case {
+        shards: 4,
+        ..Case::new(graph, app, init, 9)
+    };
+    check_placement(Placement::MultiGpu, &case, &mut Reach::default()).unwrap();
 }
 
 #[test]
@@ -80,8 +72,7 @@ fn out_of_core_equals_in_core_samples() {
     let mut gpu = Gpu::new(GpuSpec::small());
     let (ooc_res, ooc) =
         run_nextdoor_out_of_core(&mut gpu, &graph, &app, &init, 5, graph.size_bytes() / 3).unwrap();
-    let cpu = run_cpu(&graph, &app, &init, 5).unwrap();
-    assert_eq!(ooc_res.store.final_samples(), cpu.store.final_samples());
+    assert_eq!(digest(&ooc_res.store), cpu_digest(&graph, &app, &init, 5));
     assert!(ooc.partitions >= 2, "budget should force partitioning");
     assert!(ooc.transfer_ms > 0.0, "transfers must be charged");
     // The in-core engine spends nothing on transfers.

@@ -9,20 +9,18 @@
 //!   sample from sample 0 alone, so uniformity must hold at the door);
 //! * **fault tolerance** — profiling stays consistent under injected
 //!   allocation faults at every allocation index;
-//! * **classification** — every kernel an engine launches maps to a
+//! * **classification** — every kernel a placement launches maps to a
 //!   pipeline phase.
 
-use std::collections::BTreeSet;
+mod common;
 
+use common::{check, cpu_digest, digest, hub_rooted, Case, MakeApp, Reach, ENGINES};
 use nextdoor::apps::{DeepWalk, KHop, Ladies, Layer};
 use nextdoor::core::large_graph::run_nextdoor_out_of_core;
 use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
-use nextdoor::core::sharded::ShardedSampler;
-use nextdoor::core::tuning::CacheConfig;
 use nextdoor::core::{
-    classify_kernel, initial_samples_random, run_cpu, run_nextdoor, run_sample_parallel,
-    run_vanilla_tp, KernelPhase, NextCtx, NextDoorError, SamplerSession, SamplingApp, SamplingType,
-    Steps,
+    initial_samples_random, run_cpu, run_nextdoor, KernelPhase, NextCtx, NextDoorError,
+    SamplingApp, SamplingType, Steps,
 };
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
 use nextdoor::graph::{Dataset, VertexId};
@@ -38,19 +36,7 @@ fn small_graph() -> nextdoor::graph::Csr {
 fn kernel_profiles_conserve_global_counters() {
     let graph = small_graph();
     let init = initial_samples_random(&graph, 64, 1, 3).unwrap();
-    type Engine = fn(
-        &mut Gpu,
-        &nextdoor::graph::Csr,
-        &dyn nextdoor::core::SamplingApp,
-        &[Vec<u32>],
-        u64,
-    ) -> Result<nextdoor::core::RunResult, NextDoorError>;
-    let engines: [(&str, Engine); 3] = [
-        ("nextdoor", run_nextdoor),
-        ("sp", run_sample_parallel),
-        ("tp", run_vanilla_tp),
-    ];
-    for (name, engine) in engines {
+    for (name, engine) in ENGINES {
         let mut gpu = Gpu::new(GpuSpec::small());
         let res = engine(&mut gpu, &graph, &KHop::new(vec![4, 2]), &init, 7).unwrap();
         assert_eq!(
@@ -189,18 +175,10 @@ fn ragged_init_rejected_at_every_entry_point() {
             "{entry} must reject ragged initial samples"
         );
     };
-    ragged_err(
-        run_nextdoor(&mut Gpu::new(GpuSpec::small()), &graph, &app, &ragged, 1).map(|_| ()),
-        "run_nextdoor",
-    );
-    ragged_err(
-        run_sample_parallel(&mut Gpu::new(GpuSpec::small()), &graph, &app, &ragged, 1).map(|_| ()),
-        "run_sample_parallel",
-    );
-    ragged_err(
-        run_vanilla_tp(&mut Gpu::new(GpuSpec::small()), &graph, &app, &ragged, 1).map(|_| ()),
-        "run_vanilla_tp",
-    );
+    for (name, engine) in ENGINES {
+        let mut gpu = Gpu::new(GpuSpec::small());
+        ragged_err(engine(&mut gpu, &graph, &app, &ragged, 1).map(|_| ()), name);
+    }
     ragged_err(run_cpu(&graph, &app, &ragged, 1).map(|_| ()), "run_cpu");
     ragged_err(
         run_nextdoor_out_of_core(
@@ -237,16 +215,15 @@ fn alloc_fault_sweep_preserves_samples_and_conservation() {
     let graph = small_graph();
     let init = initial_samples_random(&graph, 32, 1, 6).unwrap();
     let app = KHop::new(vec![2, 2]);
-    let mut clean_gpu = Gpu::new(GpuSpec::small());
-    let clean = run_nextdoor(&mut clean_gpu, &graph, &app, &init, 7).unwrap();
+    let clean = cpu_digest(&graph, &app, &init, 7);
     for idx in 0..40 {
         let mut gpu = Gpu::new(GpuSpec::small());
         gpu.inject_faults(FaultPlan::new().fail_alloc(idx));
         let res = run_nextdoor(&mut gpu, &graph, &app, &init, 7)
             .unwrap_or_else(|e| panic!("alloc fault at index {idx} must be recovered: {e}"));
         assert_eq!(
-            clean.store.final_samples(),
-            res.store.final_samples(),
+            clean,
+            digest(&res.store),
             "alloc fault at index {idx} changed the samples"
         );
         assert_eq!(
@@ -304,106 +281,30 @@ impl<A: SamplingApp> SamplingApp for UniqueEveryStep<A> {
     }
 }
 
-/// Every kernel each engine launches maps to a pipeline phase. A kernel
-/// `classify_kernel` does not know, such as a new scheduling-index kernel,
-/// would fall into `KernelPhase::Other` and drop out of the per-phase
-/// breakdowns, the tuner's scheduling share and the benchmark's phase
-/// metrics.
+/// Every kernel the oracle's placements launch maps to a pipeline phase.
+/// A kernel `classify_kernel` does not know, such as a new
+/// scheduling-index kernel, would fall into `KernelPhase::Other` and drop
+/// out of the per-phase breakdowns, the tuner's scheduling share and the
+/// benchmark's phase metrics.
 #[test]
 fn every_engine_kernel_has_a_phase() {
-    type Engine = fn(
-        &mut Gpu,
-        &nextdoor::graph::Csr,
-        &dyn SamplingApp,
-        &[Vec<u32>],
-        u64,
-    ) -> Result<nextdoor::core::RunResult, NextDoorError>;
-    type AppFn = fn() -> Box<dyn SamplingApp + Send>;
     let graph = small_graph();
-    let mut hubs: Vec<VertexId> = (0..graph.num_vertices() as VertexId).collect();
-    hubs.sort_by_key(|&v| std::cmp::Reverse(graph.degree(v)));
-    // 96 samples on one hub and 16 on another: with KHop's fanout of 25
-    // those transits need 2,400 and 400 threads, the grid and block
+    // With KHop's fanout of 25 the hubs' transits need the grid and block
     // classes; the other samples' transits are sub-warp work.
-    let walk_init: Vec<Vec<VertexId>> = (0..160)
-        .map(|i| match i {
-            0..=95 => vec![hubs[0]],
-            96..=111 => vec![hubs[1]],
-            _ => vec![hubs[i]],
-        })
-        .collect();
+    let hub_init = hub_rooted(&graph, 128, 1);
     let ladies_init = initial_samples_random(&graph, 16, 16, 3).unwrap();
-    let apps: [(&str, AppFn, &[Vec<VertexId>]); 4] = [
-        ("deepwalk", || Box::new(DeepWalk::new(4)), &walk_init),
-        ("khop", || Box::new(KHop::new(vec![25, 4])), &walk_init),
-        ("ladies", || Box::new(Ladies::new(2, 16)), &ladies_init),
+    let apps: [(MakeApp, &[Vec<VertexId>]); 4] = [
+        (|| Box::new(DeepWalk::new(4)), &hub_init),
+        (|| Box::new(KHop::new(vec![25, 4])), &hub_init),
+        (|| Box::new(Ladies::new(2, 16)), &ladies_init),
         (
-            "unique",
             || Box::new(UniqueEveryStep(KHop::new(vec![4, 4]))),
-            &walk_init,
+            &hub_init,
         ),
     ];
-    let engines: [(&str, Engine); 3] = [
-        ("nextdoor", run_nextdoor),
-        ("sp", run_sample_parallel),
-        ("tp", run_vanilla_tp),
-    ];
-    let mut seen = BTreeSet::new();
-    let mut check = |label: &str, gpu: &Gpu| {
-        assert!(gpu.profile().kernels().next().is_some(), "{label} launched");
-        for k in gpu.profile().kernels() {
-            let phase = classify_kernel(&k.name);
-            assert_ne!(
-                phase,
-                KernelPhase::Other,
-                "{label}: kernel {} has no phase",
-                k.name
-            );
-            seen.insert(phase.label());
-        }
-    };
-    for (app_name, app, init) in apps {
-        for (engine_name, engine) in engines {
-            let mut gpu = Gpu::new(GpuSpec::small());
-            engine(&mut gpu, &graph, app().as_ref(), init, 7).unwrap();
-            check(&format!("{engine_name} / {app_name}"), &gpu);
-        }
-        // A session with the hot cache on, over repeated queries so the
-        // cache installs and its memo both come into play.
-        let mut session = SamplerSession::new(GpuSpec::small(), graph.clone(), app()).unwrap();
-        session.enable_hot_cache(CacheConfig::default());
-        for seed in [7, 7, 8] {
-            session.query(init, seed).unwrap();
-        }
-        check(&format!("session / {app_name}"), session.gpu());
-        // Two shards, for the apps shards accept.
-        match ShardedSampler::new(GpuSpec::small(), graph.clone(), app(), 2, 7) {
-            Ok(mut sharded) => {
-                sharded.query(init, 7).unwrap();
-                for s in 0..2 {
-                    check(&format!("shard {s} / {app_name}"), sharded.shard_gpu(s));
-                }
-            }
-            Err(NextDoorError::ShardUnsupported { .. }) => {}
-            Err(e) => panic!("{app_name} on shards: {e}"),
-        }
+    let mut reach = Reach::default();
+    for (app, init) in apps {
+        check(&Case::new(graph.clone(), app, init.to_vec(), 7), &mut reach);
     }
-    // The runs reached every phase, so the check above saw each kind of
-    // kernel.
-    for phase in [
-        KernelPhase::Scheduling,
-        KernelPhase::Transit,
-        KernelPhase::SubWarp,
-        KernelPhase::Block,
-        KernelPhase::Grid,
-        KernelPhase::SampleParallel,
-        KernelPhase::Collective,
-        KernelPhase::PostProcess,
-    ] {
-        assert!(
-            seen.contains(phase.label()),
-            "no {} kernel ran",
-            phase.label()
-        );
-    }
+    reach.assert_every_phase();
 }

@@ -1,55 +1,19 @@
-//! Property-based tests over randomly generated graphs and parameters.
+//! Property-based tests over randomly generated graphs, parameters and
+//! fault plans; the bit-identity properties hand their inputs to the
+//! differential oracle of `tests/common`.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::{arb_fault_plan, arb_graph, check, check_placement, Case, MakeApp, Placement, Reach};
 use nextdoor::apps::{DeepWalk, KHop};
 use nextdoor::core::engine::unique::dedup_values;
-use nextdoor::core::session::SamplerSession;
-use nextdoor::core::{run_cpu, run_nextdoor, SamplingApp, NULL_VERTEX};
+use nextdoor::core::{run_cpu, NULL_VERTEX};
 use nextdoor::gpu::algorithms::{exclusive_scan, histogram, radix_sort_pairs, run_length_encode};
-use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
+use nextdoor::gpu::{Gpu, GpuSpec};
 use nextdoor::graph::gen::{rmat, RmatParams};
-use nextdoor::graph::{GraphBuilder, VertexId};
-use nextdoor::serve::{FleetBatcher, PoolConfig, ReplicaPool, Request, ServeConfig};
-
-/// An arbitrary fault script: any combination of a failed allocation, a
-/// transient kernel fault and a whole-device loss, at arbitrary points.
-fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        proptest::option::weighted(0.5, 0u64..5),
-        proptest::option::weighted(0.5, 0u64..12),
-        proptest::option::weighted(0.3, 0u64..12),
-    )
-        .prop_map(|(alloc, transient, lose)| {
-            let mut plan = FaultPlan::new();
-            if let Some(i) = alloc {
-                plan = plan.fail_alloc(i);
-            }
-            if let Some(i) = transient {
-                plan = plan.transient_at_launch(i);
-            }
-            if let Some(i) = lose {
-                plan = plan.lose_device_at_launch(i);
-            }
-            plan
-        })
-}
-
-/// An arbitrary small graph from an edge list.
-fn arb_graph() -> impl Strategy<Value = nextdoor::graph::Csr> {
-    (
-        2usize..64,
-        proptest::collection::vec((0u32..64, 0u32..64), 1..256),
-    )
-        .prop_map(|(n, edges)| {
-            let mut b = GraphBuilder::new(64).undirected(true);
-            let _ = n;
-            for (s, d) in edges {
-                b.push_edge(s, d);
-            }
-            b.build().expect("endpoints in range")
-        })
-}
+use nextdoor::graph::{parse_edge_list, IoError, VertexId};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -160,96 +124,105 @@ proptest! {
 
     #[test]
     fn engines_agree_on_random_graphs(g in arb_graph(), seed in 0u64..1000) {
-        let init: Vec<Vec<VertexId>> = (0..12).map(|i| vec![i as u32 * 5 % 64]).collect();
-        let app = KHop::new(vec![4, 2]);
-        let cpu = run_cpu(&g, &app, &init, seed).unwrap();
-        let mut gpu = Gpu::new(GpuSpec::small());
-        let nd = run_nextdoor(&mut gpu, &g, &app, &init, seed).unwrap();
-        prop_assert_eq!(cpu.store.final_samples(), nd.store.final_samples());
+        let init: Vec<Vec<VertexId>> = (0..12).map(|i| vec![i * 5 % 64]).collect();
+        let app: MakeApp = || Box::new(KHop::new(vec![4, 2]));
+        check(&Case::new(g, app, init, seed), &mut Reach::default());
     }
 
     #[test]
     fn faulty_runs_never_panic_and_ok_runs_match_clean(
         g in arb_graph(),
         seed in 0u64..500,
-        plan in arb_fault_plan()
+        faults in arb_fault_plan()
     ) {
         // The robustness contract: under ANY scripted fault plan, a run
-        // either recovers completely (samples byte-identical to a
-        // fault-free run) or surfaces a typed error — it never panics and
-        // never silently returns different samples.
+        // either recovers completely (samples byte-identical to the CPU
+        // oracle) or surfaces a typed error the plan allows — it never
+        // panics and never silently returns different samples.
         let init: Vec<Vec<VertexId>> = (0..8).map(|i| vec![i * 9 % 64]).collect();
-        let apps: Vec<Box<dyn SamplingApp>> = vec![
-            Box::new(DeepWalk::new(5)),
-            Box::new(KHop::new(vec![3, 2])),
-        ];
-        for app in &apps {
-            let mut clean_gpu = Gpu::new(GpuSpec::small());
-            let clean = run_nextdoor(&mut clean_gpu, &g, app.as_ref(), &init, seed).unwrap();
-            let mut gpu = Gpu::new(GpuSpec::small());
-            gpu.inject_faults(plan.clone());
-            // A typed error is an acceptable outcome; an Ok run must match
-            // the fault-free samples exactly.
-            if let Ok(res) = run_nextdoor(&mut gpu, &g, app.as_ref(), &init, seed) {
-                prop_assert_eq!(res.store.final_samples(), clean.store.final_samples());
-            }
+        let apps: [MakeApp; 2] =
+            [|| Box::new(DeepWalk::new(5)), || Box::new(KHop::new(vec![3, 2]))];
+        for app in apps {
+            let case = Case::new(g.clone(), app, init.clone(), seed);
+            check(&Case { faults: faults.clone(), ..case }, &mut Reach::default());
         }
     }
 
     #[test]
     fn served_faulty_fleet_successes_match_fault_free_runs(
         seed in 0u64..500,
-        plan in arb_fault_plan()
+        faults in arb_fault_plan()
     ) {
         // The serving-tier robustness contract, end to end: under ANY
-        // scripted fault plan on one replica of a two-replica pool, every
-        // request the fleet reports as successful carries samples
-        // byte-identical to a fault-free run — at any simulator worker
-        // count. Failures may only be typed errors, never different
-        // samples and never a panic.
+        // scripted fault plan on one replica of a two-replica fleet, every
+        // request gets an outcome, every success carries the CPU oracle's
+        // samples and every failure is typed — with the same outcomes at
+        // any simulator worker count.
         let g = rmat(7, 900, RmatParams::SKEWED, 5);
         let init: Vec<Vec<VertexId>> = (0..6).map(|i| vec![i * 13 % 128]).collect();
-        let app = || -> Box<dyn SamplingApp + Send> { Box::new(KHop::new(vec![3, 2])) };
-        let mut outcome_digests: Vec<Vec<Option<String>>> = Vec::new();
-        for host_threads in [1usize, 4] {
-            let mut spec = GpuSpec::small();
-            spec.host_threads = host_threads;
-            let mut solo = SamplerSession::new(spec.clone(), g.clone(), app()).unwrap();
-            let gpus = vec![Gpu::new(spec.clone()), Gpu::new(spec.clone())];
-            let pool = ReplicaPool::new(gpus, &g, vec![app(), app()], PoolConfig::default())
-                .unwrap();
-            let mut fleet = FleetBatcher::new(pool, ServeConfig::default()).unwrap();
-            // Scheduled relative to current traffic, after the graph
-            // uploads — so every generated plan lands on live serving
-            // traffic instead of being swallowed by session setup.
-            fleet.pool_mut().schedule_faults(0, plan.clone());
-            for r in 0..4u64 {
-                fleet.submit(Request::new(init.clone(), seed + r)).unwrap();
-            }
-            let served = fleet.drain();
-            // Every admitted request got an outcome.
-            prop_assert_eq!(served.len(), 4);
-            let mut digests = Vec::new();
-            for (_, outcome) in served.iter() {
-                match outcome {
-                    Ok(resp) => {
-                        let q = seed + digests.len() as u64;
-                        let clean = solo.query(&init, q).unwrap();
-                        // A successful response must match the
-                        // fault-free samples.
-                        prop_assert_eq!(
-                            resp.store.final_samples(),
-                            clean.store.final_samples()
-                        );
-                        digests.push(Some(format!("{:?}", resp.store.final_samples())));
-                    }
-                    Err(_) => digests.push(None),
-                }
-            }
-            outcome_digests.push(digests);
+        let app: MakeApp = || Box::new(KHop::new(vec![3, 2]));
+        let mut logs = Vec::new();
+        for threads in [1, 4] {
+            let case = Case::new(g.clone(), app, init.clone(), seed);
+            let case = Case { faults: faults.clone(), threads, ..case };
+            let log = check_placement(Placement::Fleet, &case, &mut Reach::default());
+            logs.push(log.map_err(TestCaseError::fail)?);
         }
-        // Fleet outcomes are identical across simulator worker counts.
-        prop_assert_eq!(&outcome_digests[0], &outcome_digests[1]);
+        prop_assert_eq!(&logs[0], &logs[1]);
+    }
+
+    #[test]
+    fn edge_lists_parse_or_fail_typed(
+        lines in proptest::collection::vec((0u8..8, 0u32..65536, 0u32..65536, 0usize..3), 0..24),
+    ) {
+        // Untrusted edge-list text: comments, blanks, edges with and
+        // without weights, and one kind of defect per line kind 4..8. The
+        // parse succeeds exactly when no line is defective, and otherwise
+        // fails with the first defect's typed error and line number.
+        let mut text = String::new();
+        let (mut first_defect, mut max_id, mut edges) = (None, None, 0);
+        for (i, &(kind, a, b, pick)) in lines.iter().enumerate() {
+            let line = match kind {
+                0 => format!("{} {a} {b}", ["#", "%", "  #"][pick]),
+                1 => " ".repeat(pick),
+                2 => format!("{a} {b}"),
+                3 => format!("{a}\t{b} {pick}.5"),
+                4 => [format!("{a}"), format!("{a} {b} 1 2"), "x".into()][pick].clone(),
+                5 => format!("{a} {}", ["x", "1e3", "-1"][pick]),
+                6 if pick == 0 => format!("{} {b}", VertexId::MAX),
+                6 => format!("{a} {}", VertexId::MAX),
+                _ => format!("{a} {b} {}", ["NaN", "inf", "-0.5"][pick]),
+            };
+            text.push_str(&line);
+            text.push('\n');
+            if kind >= 4 && first_defect.is_none() {
+                first_defect = Some((i + 1, kind));
+            }
+            if kind == 2 || kind == 3 {
+                max_id = max_id.max(Some(a.max(b) as usize));
+                edges += 1;
+            }
+        }
+        match (parse_edge_list(&text, false, 0), first_defect) {
+            (Ok(g), None) => {
+                prop_assert_eq!(g.num_vertices(), max_id.map_or(0, |m| m + 1));
+                prop_assert_eq!(g.num_edges(), edges);
+            }
+            (Err(e), Some((line, kind))) => {
+                let got = match e {
+                    IoError::Malformed { line, .. } => (line, 4),
+                    IoError::BadNumber { line, .. } => (line, 5),
+                    IoError::ReservedVertex { line } => (line, 6),
+                    IoError::BadWeight { line, .. } => (line, 7),
+                    other => return Err(TestCaseError::fail(format!("untyped defect: {other}"))),
+                };
+                prop_assert_eq!(got, (line, kind));
+            }
+            (got, want) => {
+                let got = got.map(|g| g.num_edges());
+                prop_assert!(false, "parsed {got:?}, expected defect {want:?}");
+            }
+        }
     }
 
     #[test]

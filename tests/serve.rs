@@ -3,10 +3,13 @@
 //! be bit-identical to a standalone run of the same `(init, seed)`, under
 //! fault plans and deadline rejections included.
 
+mod common;
+
+use common::{cpu_digest, digest};
 use nextdoor::apps::KHop;
 use nextdoor::core::session::{SamplerSession, SessionQuery};
-use nextdoor::core::{initial_samples_random, run_nextdoor, NextDoorError, SampleStore};
-use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
+use nextdoor::core::{initial_samples_random, NextDoorError};
+use nextdoor::gpu::{FaultPlan, GpuSpec};
 use nextdoor::graph::{Csr, Dataset, VertexId};
 use nextdoor::serve::{
     BatchEngine, MicroBatcher, Request, RequestId, RequestOutcome, SampleServer, ServeConfig,
@@ -30,43 +33,35 @@ fn session(graph: &Csr) -> SamplerSession {
     .unwrap()
 }
 
-/// Everything a request observes of its own samples.
-fn digest(store: &SampleStore) -> String {
-    let edges: Vec<_> = (0..store.num_samples())
-        .map(|s| store.edges_of(s).to_vec())
-        .collect();
-    format!("samples: {:?}\nedges: {edges:?}\n", store.final_samples())
-}
-
-#[test]
-fn fused_batch_is_bit_identical_to_sequential_requests() {
-    let (graph, inits) = workload();
-
-    // Sequential reference: each request served alone, one per fresh device.
-    let sequential: Vec<String> = inits
-        .iter()
-        .enumerate()
-        .map(|(r, init)| {
-            let mut gpu = Gpu::new(GpuSpec::small());
-            let res =
-                run_nextdoor(&mut gpu, &graph, &KHop::new(vec![3, 2]), init, r as u64).unwrap();
-            digest(&res.store)
-        })
-        .collect();
-
-    // The same requests fused into one launch by the batcher.
-    let mut batcher = MicroBatcher::new(session(&graph), ServeConfig::default()).unwrap();
+/// Request `r` of `inits`, seeded `r`, fused into one drain of a fresh
+/// batcher: the outcomes and the batcher.
+fn drain_fused(
+    graph: &Csr,
+    inits: &[Vec<Vec<VertexId>>],
+) -> (Vec<(RequestId, RequestOutcome)>, MicroBatcher) {
+    let mut batcher = MicroBatcher::new(session(graph), ServeConfig::default()).unwrap();
     for (r, init) in inits.iter().enumerate() {
         batcher
             .submit(Request::new(init.clone(), r as u64))
             .unwrap();
     }
-    let served = batcher.drain();
+    (batcher.drain(), batcher)
+}
+
+/// The CPU oracle's digest of request `(init, seed)` on the suite's app.
+fn oracle(graph: &Csr, init: &[Vec<VertexId>], seed: u64) -> String {
+    cpu_digest(graph, &KHop::new(vec![3, 2]), init, seed)
+}
+
+#[test]
+fn fused_batch_is_bit_identical_to_sequential_requests() {
+    let (graph, inits) = workload();
+    let (served, _) = drain_fused(&graph, &inits);
     assert_eq!(served.len(), inits.len());
-    for ((_, outcome), want) in served.iter().zip(&sequential) {
+    for ((_, outcome), (r, init)) in served.iter().zip(inits.iter().enumerate()) {
         let resp = outcome.as_ref().unwrap();
         assert_eq!(resp.latency.batch_size, inits.len(), "requests did fuse");
-        assert_eq!(&digest(&resp.store), want);
+        assert_eq!(digest(&resp.store), oracle(&graph, init, r as u64));
     }
 }
 
@@ -85,24 +80,7 @@ fn mixed_width_fused_batches_are_bit_identical_to_standalone_runs() {
         .map(|(r, &w)| initial_samples_random(&graph, 16, w, 300 + r as u64).unwrap())
         .collect();
 
-    let standalone: Vec<String> = inits
-        .iter()
-        .enumerate()
-        .map(|(r, init)| {
-            let mut gpu = Gpu::new(GpuSpec::small());
-            let res =
-                run_nextdoor(&mut gpu, &graph, &KHop::new(vec![3, 2]), init, r as u64).unwrap();
-            digest(&res.store)
-        })
-        .collect();
-
-    let mut batcher = MicroBatcher::new(session(&graph), ServeConfig::default()).unwrap();
-    for (r, init) in inits.iter().enumerate() {
-        batcher
-            .submit(Request::new(init.clone(), r as u64))
-            .unwrap();
-    }
-    let served = batcher.drain();
+    let (served, batcher) = drain_fused(&graph, &inits);
     assert_eq!(served.len(), inits.len());
     assert_eq!(
         batcher.launches(),
@@ -115,8 +93,8 @@ fn mixed_width_fused_batches_are_bit_identical_to_standalone_runs() {
         seen[r] = true;
         let resp = outcome.as_ref().unwrap();
         assert_eq!(
-            &digest(&resp.store),
-            &standalone[r],
+            digest(&resp.store),
+            oracle(&graph, &inits[r], r as u64),
             "request {r} (width {}) diverged from its standalone run",
             widths[r]
         );
@@ -131,9 +109,7 @@ fn warm_session_reuse_is_identical_to_cold_one_shot_runs() {
     for (r, init) in inits.iter().enumerate() {
         let seed = 40 + r as u64;
         let warm_res = warm.query(init, seed).unwrap();
-        let mut gpu = Gpu::new(GpuSpec::small());
-        let cold = run_nextdoor(&mut gpu, &graph, &KHop::new(vec![3, 2]), init, seed).unwrap();
-        assert_eq!(digest(&warm_res.store), digest(&cold.store));
+        assert_eq!(digest(&warm_res.store), oracle(&graph, init, seed));
     }
     assert_eq!(warm.queries_served(), inits.len() as u64);
 }
@@ -152,8 +128,7 @@ fn direct_fused_session_queries_match_solo_queries() {
         .collect();
     let fused = s.query_fused(&queries).unwrap();
     for (q, sliced) in queries.iter().zip(&fused.per_query) {
-        let solo = s.query(&q.init, q.seed).unwrap();
-        assert_eq!(digest(sliced), digest(&solo.store));
+        assert_eq!(digest(sliced), oracle(&graph, &q.init, q.seed));
     }
 }
 
@@ -163,11 +138,7 @@ fn faulted_batch_misses_one_deadline_while_batchmates_complete_identically() {
 
     // Clean pass: what the fused batch produces and how long it takes on
     // the simulated clock when nothing goes wrong.
-    let mut clean = MicroBatcher::new(session(&graph), ServeConfig::default()).unwrap();
-    for (r, init) in inits.iter().enumerate() {
-        clean.submit(Request::new(init.clone(), r as u64)).unwrap();
-    }
-    let clean_served = clean.drain();
+    let (clean_served, _) = drain_fused(&graph, &inits);
     let clean_total_ms = clean_served[0].1.as_ref().unwrap().latency.total_ms;
 
     // Faulty pass: a transient kernel fault forces a step retry, inflating
@@ -209,7 +180,7 @@ fn faulted_batch_misses_one_deadline_while_batchmates_complete_identically() {
             );
             assert_eq!(
                 digest(&resp.store),
-                digest(&clean_served[r].1.as_ref().unwrap().store),
+                oracle(&graph, &inits[r], r as u64),
                 "surviving request {r} must reproduce the fault-free samples"
             );
         }
@@ -363,8 +334,6 @@ fn threaded_server_serves_concurrent_clients_bit_identically() {
     let responses: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     server.shutdown();
     for (r, (resp, init)) in responses.iter().zip(&inits).enumerate() {
-        let mut gpu = Gpu::new(GpuSpec::small());
-        let solo = run_nextdoor(&mut gpu, &graph, &KHop::new(vec![3, 2]), init, r as u64).unwrap();
-        assert_eq!(digest(&resp.store), digest(&solo.store));
+        assert_eq!(digest(&resp.store), oracle(&graph, init, r as u64));
     }
 }

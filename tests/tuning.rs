@@ -1,59 +1,33 @@
 //! Tuning invariants: an autotuned, cached session must be a pure
 //! cost-side optimisation. Whatever plan is pinned and whatever faults the
-//! device throws, the samples must stay bit-identical to an untuned
-//! session's, because the knob moves only radix passes and the cache only
-//! residency, never the counter-keyed RNG draws. The tuner's one rule is
+//! device throws, the samples must stay the CPU oracle's, because the knob
+//! moves only radix passes and the cache only residency, never the
+//! counter-keyed RNG draws. The tuner's one rule is
 //! pinned on real sessions on both sides of its threshold.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::{arb_fault_plan, arb_graph, check_placement, cpu_digest, digest};
+use common::{Case, MakeApp, Placement, Reach};
 use nextdoor::apps::{DeepWalk, KHop, Ladies};
 use nextdoor::core::session::SamplerSession;
 use nextdoor::core::tuning::{CacheConfig, TunerConfig, TuningPlan};
-use nextdoor::core::{initial_samples_random, KernelPhase, RunProfile, SamplingApp};
-use nextdoor::gpu::{FaultPlan, GpuSpec};
-use nextdoor::graph::{Csr, Dataset, GraphBuilder};
-
-/// An arbitrary small graph from an edge list (64 vertices, some possibly
-/// isolated — degree-0 transits exercise the cache's promotion filter).
-fn arb_graph() -> impl Strategy<Value = Csr> {
-    proptest::collection::vec((0u32..64, 0u32..64), 1..256).prop_map(|edges| {
-        let mut b = GraphBuilder::new(64).undirected(true);
-        for (s, d) in edges {
-            b.push_edge(s, d);
-        }
-        b.build().expect("endpoints in range")
-    })
-}
+use nextdoor::core::{initial_samples_random, KernelPhase, RunProfile};
+use nextdoor::gpu::GpuSpec;
+use nextdoor::graph::Dataset;
 
 /// Either tuning plan: with or without the tight key range.
 fn arb_plan() -> impl Strategy<Value = TuningPlan> {
     proptest::bool::ANY.prop_map(|tight_key_range| TuningPlan { tight_key_range })
 }
 
-/// An arbitrary fault script, as in `tests/properties.rs`.
-fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        proptest::option::weighted(0.5, 0u64..5),
-        proptest::option::weighted(0.5, 0u64..12),
-    )
-        .prop_map(|(alloc, transient)| {
-            let mut plan = FaultPlan::new();
-            if let Some(i) = alloc {
-                plan = plan.fail_alloc(i);
-            }
-            if let Some(i) = transient {
-                plan = plan.transient_at_launch(i);
-            }
-            plan
-        })
-}
-
-fn app(khop: bool) -> Box<dyn SamplingApp + Send> {
+fn app(khop: bool) -> MakeApp {
     if khop {
-        Box::new(KHop::new(vec![2, 2]))
+        || Box::new(KHop::new(vec![2, 2]))
     } else {
-        Box::new(DeepWalk::new(4))
+        || Box::new(DeepWalk::new(4))
     }
 }
 
@@ -68,14 +42,12 @@ proptest! {
         khop in proptest::bool::ANY,
     ) {
         let init = initial_samples_random(&g, 16, 1, seed ^ 1).unwrap();
-        let mut plain = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
-        let mut tuned = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
+        let mut tuned = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)()).unwrap();
         tuned.set_tuning_plan(plan);
         tuned.enable_hot_cache(CacheConfig { min_hits: 1 });
         for q in 0..3u64 {
-            let a = plain.query(&init, seed + q).unwrap();
-            let b = tuned.query(&init, seed + q).unwrap();
-            prop_assert_eq!(a.store.final_samples(), b.store.final_samples());
+            let got = tuned.query(&init, seed + q).unwrap();
+            prop_assert_eq!(digest(&got.store), cpu_digest(&g, tuned.app(), &init, seed + q));
         }
     }
 
@@ -86,28 +58,13 @@ proptest! {
         seed in 0u64..1000,
         khop in proptest::bool::ANY,
     ) {
-        // Reference: untuned, unfaulted.
+        // The oracle's autotuned, cached session either recovers to the
+        // CPU's samples or fails with a typed error the plan allows —
+        // never silently wrong output.
         let init = initial_samples_random(&g, 16, 1, seed ^ 1).unwrap();
-        let mut plain = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
-        let mut tuned = SamplerSession::new(GpuSpec::small(), g.clone(), app(khop)).unwrap();
-        tuned.enable_autotune(TunerConfig { warmup_queries: 1 });
-        tuned.enable_hot_cache(CacheConfig { min_hits: 1 });
-        tuned.schedule_faults(faults);
-        for q in 0..3u64 {
-            let want = plain.query(&init, seed + q).unwrap();
-            // The tuned session either recovers to identical samples or
-            // fails with a typed error — never silently wrong output.
-            match tuned.query(&init, seed + q) {
-                Ok(got) => {
-                    prop_assert_eq!(want.store.final_samples(), got.store.final_samples());
-                }
-                Err(e) => {
-                    let msg = format!("{e}");
-                    prop_assert!(!msg.is_empty(), "errors are typed and printable");
-                    break;
-                }
-            }
-        }
+        let case = Case { faults, ..Case::new(g, app(khop), init, seed) };
+        check_placement(Placement::TunedSession, &case, &mut Reach::default())
+            .map_err(TestCaseError::fail)?;
     }
 }
 
@@ -117,7 +74,7 @@ proptest! {
 fn replanning_settles_on_a_steady_workload() {
     let g = nextdoor::graph::gen::rmat(7, 1200, nextdoor::graph::gen::RmatParams::SKEWED, 9);
     let init = initial_samples_random(&g, 32, 1, 5).unwrap();
-    let mut s = SamplerSession::new(GpuSpec::small(), g, app(true)).unwrap();
+    let mut s = SamplerSession::new(GpuSpec::small(), g, app(true)()).unwrap();
     s.enable_autotune(TunerConfig { warmup_queries: 2 });
     for q in 0..8 {
         s.query(&init, 40 + q).unwrap();
@@ -165,7 +122,7 @@ fn ladies_session() -> (SamplerSession, Vec<Vec<u32>>) {
 fn walk_session_tightens_the_key_range_at_its_warmup_boundary() {
     let g = nextdoor::graph::gen::rmat(7, 1200, nextdoor::graph::gen::RmatParams::SKEWED, 9);
     let init = initial_samples_random(&g, 32, 1, 5).unwrap();
-    let mut s = SamplerSession::new(GpuSpec::small(), g, app(false)).unwrap();
+    let mut s = SamplerSession::new(GpuSpec::small(), g, app(false)()).unwrap();
     s.enable_autotune(TunerConfig { warmup_queries: 2 });
     let mut profiles = vec![s.query(&init, 40).unwrap().stats.profile];
     assert_eq!(s.tuning_plan(), TuningPlan::default(), "not warm yet");
