@@ -43,13 +43,8 @@ fn fleet(spec: &GpuSpec, graph: &Csr, max_queue: usize, cooldown_ms: f64) -> Fle
         Gpu::new(spec.clone()),
         Gpu::new(spec.clone()),
     ];
-    let pool = ReplicaPool::new(
-        gpus,
-        graph,
-        vec![app(), app(), app()],
-        pool_config(cooldown_ms),
-    )
-    .expect("bench graph fits on every replica");
+    let pool = ReplicaPool::new(gpus, graph, app, pool_config(cooldown_ms))
+        .expect("bench graph fits on every replica");
     FleetBatcher::new(
         pool,
         ServeConfig {
@@ -68,7 +63,7 @@ fn calibrate_batch_ms(spec: &GpuSpec, graph: &Csr, inits: &[Vec<Vec<VertexId>>],
     let pool = ReplicaPool::new(
         vec![Gpu::new(spec.clone())],
         graph,
-        vec![app()],
+        app,
         PoolConfig::default(),
     )
     .expect("bench graph fits on the calibration replica");

@@ -200,7 +200,7 @@ fn load_fleet(spec: &GpuSpec, g: &Csr, cfg: &ServeConfig, batch_ms: f64) -> Flee
     let pool = ReplicaPool::new(
         vec![Gpu::new(spec.clone())],
         g,
-        vec![app()],
+        app,
         PoolConfig {
             max_retries: 24,
             backoff_base_ms: batch_ms / 16.0,

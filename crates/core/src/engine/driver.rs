@@ -327,10 +327,6 @@ pub(crate) struct StepTally {
     pub transfer_cycles: f64,
     pub transfers: usize,
     pub steps_run: usize,
-    /// Per executed step: `(step, first_launch, end_launch)` bracketing the
-    /// step's kernel launches (retried attempts included) by the device's
-    /// monotonic launch index, for the per-step profile breakdown.
-    pub step_marks: Vec<(usize, u64, u64)>,
 }
 
 impl StepTally {
@@ -341,7 +337,6 @@ impl StepTally {
         self.transfer_cycles += other.transfer_cycles;
         self.transfers += other.transfers;
         self.steps_run += other.steps_run;
-        self.step_marks.extend(other.step_marks);
     }
 }
 
@@ -405,7 +400,6 @@ pub(crate) fn run_step_loop(
             }
             tally.transfer_cycles += gpu.counters().cycles - c0;
         }
-        let step_launch0 = gpu.launches_issued();
         let pairs = live_pairs(&plan, store.num_samples());
         let ex = StepExec {
             graph,
@@ -430,9 +424,6 @@ pub(crate) fn run_step_loop(
         tally.sched_cycles += cycles;
         finish_step(app, &mut store, &plan, out.values, out.edges);
         tally.steps_run += 1;
-        tally
-            .step_marks
-            .push((step, step_launch0, gpu.launches_issued()));
         prev_buf = out.step_buf;
     }
     Ok(StepLoopOut {
@@ -453,7 +444,7 @@ pub(crate) fn engine_stats(
     tally: &StepTally,
 ) -> EngineStats {
     let counters = gpu.counters().diff(counters0);
-    let profile = RunProfile::from_device(gpu, launch0, &tally.step_marks);
+    let profile = RunProfile::from_device(gpu, launch0);
     let spec = gpu.spec();
     let total_ms = spec.cycles_to_ms(counters.cycles);
     let scheduling_ms = spec.cycles_to_ms(tally.sched_cycles);

@@ -114,8 +114,7 @@ pub struct EngineStats {
     pub counters: Counters,
     /// Steps actually executed.
     pub steps_run: usize,
-    /// Per-kernel, per-step breakdown of the run (empty for the CPU
-    /// reference).
+    /// Per-kernel breakdown of the run (empty for the CPU reference).
     pub profile: profile::RunProfile,
 }
 

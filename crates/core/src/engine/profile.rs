@@ -1,18 +1,17 @@
 //! Engine-level cost attribution built from the device profile.
 //!
-//! The device records a raw [`KernelRecord`] per launch (see
+//! The device records a raw
+//! [`KernelRecord`](nextdoor_gpu::profile::KernelRecord) per launch (see
 //! [`nextdoor_gpu::profile`]); this module lifts that stream to the
 //! engine's vocabulary: every kernel name is classified into a
 //! [`KernelPhase`] (scheduling-index construction, the three Table 2
 //! sampling classes, the SP baseline, transit computation, collective
-//! builds, post-processing), and a [`RunProfile`] aggregates the records
-//! per kernel for the whole run and per executed step. The per-kernel
-//! counter deltas sum exactly to the run's global
-//! [`Counters`] — tests assert this conservation
-//! property for every engine.
+//! builds, post-processing), and a [`RunProfile`] aggregates the run's
+//! records per kernel. The per-kernel counter deltas sum exactly to the
+//! run's global [`Counters`] — tests assert this conservation property
+//! for every engine.
 
-use nextdoor_gpu::profile::KernelRecord;
-use nextdoor_gpu::{summarize_kernels, Counters, Gpu, GpuSpec};
+use nextdoor_gpu::{summarize_kernels, Counters, Gpu};
 
 /// Which stage of the sampling pipeline a kernel implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,7 +85,7 @@ pub fn classify_kernel(name: &str) -> KernelPhase {
     }
 }
 
-/// Aggregate of one kernel name within a run (or one step of it).
+/// Aggregate of one kernel name within a run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelBreakdown {
     /// Kernel name as launched.
@@ -105,32 +104,19 @@ pub struct KernelBreakdown {
     pub avg_occupancy: f64,
 }
 
-/// Per-kernel aggregates of one executed step.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StepProfile {
-    /// Step index.
-    pub step: usize,
-    /// Per-kernel aggregates, ordered by cycles (descending).
-    pub kernels: Vec<KernelBreakdown>,
-    /// Total kernel cycles of the step.
-    pub cycles: f64,
-}
-
-/// The per-kernel, per-step breakdown of one engine run.
+/// The per-kernel breakdown of one engine run.
 ///
 /// Empty for the CPU reference engine. When the device's bounded profile
-/// buffer evicted records mid-run ([`evicted_events`](Self::in_run_evicted)
-/// is non-zero) the breakdown covers only the surviving records; the
-/// evicted cost is still present in the run's global counters.
+/// ring evicted some of this run's records
+/// ([`in_run_evicted`](Self::in_run_evicted) is non-zero) the breakdown
+/// covers only the surviving records; the evicted cost is still present
+/// in the run's global counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunProfile {
     /// Whole-run per-kernel aggregates, ordered by cycles (descending).
     pub kernels: Vec<KernelBreakdown>,
-    /// Per-step aggregates, in execution order (one entry per executed
-    /// step, including the retried attempts of that step).
-    pub steps: Vec<StepProfile>,
-    /// Profile-buffer evictions observed on the device while this run was
-    /// in flight (0 means the breakdown is complete).
+    /// This run's kernel records the profile ring had already evicted when
+    /// the breakdown was built (0 exactly when the breakdown is complete).
     pub in_run_evicted: u64,
 }
 
@@ -158,69 +144,30 @@ impl RunProfile {
         c
     }
 
-    /// Builds the breakdown from the device profile.
-    ///
-    /// `launch0` is [`Gpu::launches_issued`] sampled when the run started;
-    /// only records with `launch_idx >= launch0` belong to this run.
-    /// `step_marks[i]` brackets step `i`'s launches as a half-open
-    /// `[start, end)` range of launch indices.
-    pub(crate) fn from_device(gpu: &Gpu, launch0: u64, step_marks: &[(usize, u64, u64)]) -> Self {
+    /// Builds the breakdown from the device profile: the records of the
+    /// launches issued since `launch0` ([`Gpu::launches_issued`] sampled
+    /// when the run started), aggregated by [`summarize_kernels`] and
+    /// labelled with their phase and simulated milliseconds.
+    pub(crate) fn from_device(gpu: &Gpu, launch0: u64) -> Self {
+        let (records, in_run_evicted) = gpu.profile().kernels_in(launch0..gpu.launches_issued());
         let spec = gpu.spec();
-        let records: Vec<&KernelRecord> = gpu
-            .profile()
-            .kernels()
-            .filter(|k| k.launch_idx >= launch0)
-            .collect();
-        let kernels = breakdown(records.iter().copied(), spec);
-        let steps = step_marks
-            .iter()
-            .map(|&(step, start, end)| {
-                let ks = breakdown(
-                    records
-                        .iter()
-                        .copied()
-                        .filter(|k| k.launch_idx >= start && k.launch_idx < end),
-                    spec,
-                );
-                let cycles = ks.iter().map(|k| k.cycles).sum();
-                StepProfile {
-                    step,
-                    kernels: ks,
-                    cycles,
-                }
+        let kernels = summarize_kernels(records)
+            .into_iter()
+            .map(|s| KernelBreakdown {
+                phase: classify_kernel(&s.name),
+                ms: spec.cycles_to_ms(s.cycles),
+                name: s.name,
+                launches: s.launches,
+                cycles: s.cycles,
+                counters: s.counters,
+                avg_occupancy: s.avg_occupancy,
             })
             .collect();
-        // Records evicted before the run started were already evicted when
-        // we sampled launch0; only newly evicted ones can hide this run's
-        // launches. The caller cannot distinguish which run they belonged
-        // to, so report the device total — 0 still certifies completeness.
         RunProfile {
             kernels,
-            steps,
-            in_run_evicted: gpu.profile().evicted_events(),
+            in_run_evicted,
         }
     }
-}
-
-/// The per-kernel aggregates of [`summarize_kernels`] (by name, first-launch
-/// order for ties, total cycles descending), labelled with their phase and
-/// simulated milliseconds.
-fn breakdown<'a>(
-    records: impl Iterator<Item = &'a KernelRecord>,
-    spec: &GpuSpec,
-) -> Vec<KernelBreakdown> {
-    summarize_kernels(records)
-        .into_iter()
-        .map(|s| KernelBreakdown {
-            phase: classify_kernel(&s.name),
-            ms: spec.cycles_to_ms(s.cycles),
-            name: s.name,
-            launches: s.launches,
-            cycles: s.cycles,
-            counters: s.counters,
-            avg_occupancy: s.avg_occupancy,
-        })
-        .collect()
 }
 
 #[cfg(test)]

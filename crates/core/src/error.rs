@@ -18,7 +18,7 @@ use nextdoor_graph::{Csr, VertexId};
 /// Why a sampling run could not produce results.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NextDoorError {
-    /// The initial sample set was empty.
+    /// The initial sample set was empty, or its samples hold no vertices.
     EmptyInit,
     /// The graph has no vertices to sample from.
     EmptyGraph,
@@ -88,7 +88,9 @@ pub enum NextDoorError {
 impl std::fmt::Display for NextDoorError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NextDoorError::EmptyInit => write!(f, "need at least one initial sample"),
+            NextDoorError::EmptyInit => {
+                write!(f, "need at least one initial sample of at least one vertex")
+            }
             NextDoorError::EmptyGraph => write!(f, "the graph has no vertices"),
             NextDoorError::UnequalInitSizes {
                 expected,
@@ -232,10 +234,10 @@ pub fn validate_run(
     app: &dyn SamplingApp,
     init: &[Vec<VertexId>],
 ) -> Result<(), NextDoorError> {
-    if init.is_empty() {
-        return Err(NextDoorError::EmptyInit);
-    }
-    let expected = init[0].len();
+    let expected = match init.first() {
+        Some(s) if !s.is_empty() => s.len(),
+        _ => return Err(NextDoorError::EmptyInit),
+    };
     let n = graph.num_vertices();
     for (sample, s) in init.iter().enumerate() {
         if s.len() != expected {
@@ -288,6 +290,10 @@ mod tests {
         let g = ring_lattice(8, 1, 0);
         let app = App(Steps::Fixed(2));
         assert_eq!(validate_run(&g, &app, &[]), Err(NextDoorError::EmptyInit));
+        assert_eq!(
+            validate_run(&g, &app, &[vec![]]),
+            Err(NextDoorError::EmptyInit)
+        );
         assert!(matches!(
             validate_run(&g, &app, &[vec![0], vec![1, 2]]),
             Err(NextDoorError::UnequalInitSizes {

@@ -73,7 +73,7 @@ pub mod tuning;
 pub use api::{NextCtx, SampleView, SamplingApp, SamplingType, Steps, NULL_VERTEX};
 pub use engine::cpu::{run_cpu, run_cpu_keyed};
 pub use engine::nextdoor::run_nextdoor;
-pub use engine::profile::{classify_kernel, KernelBreakdown, KernelPhase, RunProfile, StepProfile};
+pub use engine::profile::{classify_kernel, KernelBreakdown, KernelPhase, RunProfile};
 pub use engine::sp::run_sample_parallel;
 pub use engine::tp::run_vanilla_tp;
 pub use engine::{initial_samples_random, EngineStats, RunResult, SampleKeys};

@@ -26,6 +26,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
+use std::ops::Range;
 use std::path::Path;
 
 use crate::counters::Counters;
@@ -120,6 +121,13 @@ pub enum ProfileEvent {
 }
 
 impl ProfileEvent {
+    fn kernel(&self) -> Option<&KernelRecord> {
+        match self {
+            ProfileEvent::Kernel(k) => Some(k),
+            ProfileEvent::Transfer(_) => None,
+        }
+    }
+
     /// The counter deltas this event contributed to the global accumulator.
     pub fn counters(&self) -> Counters {
         match self {
@@ -170,10 +178,32 @@ impl Profile {
 
     /// Buffered kernel launches, oldest first.
     pub fn kernels(&self) -> impl Iterator<Item = &KernelRecord> {
-        self.events.iter().filter_map(|e| match e {
-            ProfileEvent::Kernel(k) => Some(k),
-            ProfileEvent::Transfer(_) => None,
-        })
+        self.events.iter().filter_map(ProfileEvent::kernel)
+    }
+
+    /// The kernel records of the launches in `launches`, oldest first, and
+    /// how many of those launches the ring no longer holds.
+    ///
+    /// The device numbers its launches 0, 1, 2, … and records every one, so
+    /// a range's records are one contiguous run of the ring, and eviction
+    /// takes its oldest first. The walk starts at the newest event and stops
+    /// at the first kernel older than the range, so it reads only the range
+    /// and what came after it. The missing count is 0 exactly when every
+    /// launch of the range is still buffered.
+    pub fn kernels_in(&self, launches: Range<u64>) -> (impl Iterator<Item = &KernelRecord>, u64) {
+        let start = self
+            .events
+            .iter()
+            .rposition(|e| matches!(e, ProfileEvent::Kernel(k) if k.launch_idx < launches.start))
+            .map_or(0, |i| i + 1);
+        let mut kernels = self
+            .events
+            .range(start..)
+            .filter_map(ProfileEvent::kernel)
+            .take_while(move |k| k.launch_idx < launches.end)
+            .peekable();
+        let held_from = kernels.peek().map_or(launches.end, |k| k.launch_idx);
+        (kernels, held_from.saturating_sub(launches.start))
     }
 
     /// Buffered transfers, oldest first.
@@ -591,14 +621,9 @@ impl ChromeTraceWriter {
 /// when the range kept no kernel (all evicted from the bounded ring, or
 /// the range is empty).
 pub fn kernel_anchor(profile: &Profile, range: (u64, u64)) -> Option<(u64, usize, f64)> {
-    profile
-        .kernels()
-        .filter(|k| k.launch_idx >= range.0 && k.launch_idx < range.1)
-        .min_by_key(|k| k.launch_idx)
-        .and_then(|k| {
-            let sm = k.per_sm_busy.iter().position(|&b| b > 0.0)?;
-            Some((k.launch_idx, sm, k.start_cycles))
-        })
+    let k = profile.kernels_in(range.0..range.1).0.next()?;
+    let sm = k.per_sm_busy.iter().position(|&b| b > 0.0)?;
+    Some((k.launch_idx, sm, k.start_cycles))
 }
 
 /// Writes a `chrome://tracing` / Perfetto event file.
@@ -655,6 +680,57 @@ mod tests {
         assert_eq!(total.gld_transactions, 15);
         assert_eq!(total.launches, 5);
         assert!((total.cycles - 50.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn kernels_in_reads_its_range_across_the_wrap() {
+        let mut p = Profile::with_capacity(4);
+        let held = |p: &Profile, launches: Range<u64>| {
+            let (ks, missing) = p.kernels_in(launches);
+            (ks.map(|k| k.launch_idx).collect::<Vec<_>>(), missing)
+        };
+        for i in 0..3 {
+            p.push(ProfileEvent::Kernel(kernel("k", i, 10.0, 1)));
+        }
+        assert_eq!(held(&p, 0..3), (vec![0, 1, 2], 0));
+        assert_eq!(held(&p, 1..2), (vec![1], 0));
+        assert_eq!(held(&p, 3..3), (vec![], 0));
+        // A transfer and three launches wrap the ring: [T, 3, 4, 5], with
+        // launches 0, 1 and 2 evicted.
+        p.push(ProfileEvent::Transfer(TransferRecord {
+            dir: TransferDir::HtoD,
+            bytes: 8,
+            start_cycles: 0.0,
+            cycles: 1.0,
+        }));
+        for i in 3..6 {
+            p.push(ProfileEvent::Kernel(kernel("k", i, 10.0, 1)));
+        }
+        assert_eq!(held(&p, 0..6), (vec![3, 4, 5], 3));
+        assert_eq!(held(&p, 2..5), (vec![3, 4], 1));
+        assert_eq!(held(&p, 3..6), (vec![3, 4, 5], 0));
+        assert_eq!(held(&p, 0..2), (vec![], 2), "the whole range was evicted");
+        assert_eq!(held(&p, 6..6), (vec![], 0));
+        // Evicting the transfer evicts no launch; evicting launch 3 does.
+        p.push(ProfileEvent::Kernel(kernel("k", 6, 10.0, 1)));
+        assert_eq!(held(&p, 3..7), (vec![3, 4, 5, 6], 0));
+        p.push(ProfileEvent::Kernel(kernel("k", 7, 10.0, 1)));
+        assert_eq!(held(&p, 3..8), (vec![4, 5, 6, 7], 1));
+        assert_eq!(held(&p, 0..8), (vec![4, 5, 6, 7], 4));
+        assert_eq!(p.total_counters().launches, 8);
+        assert_eq!(kernel_anchor(&p, (2, 6)).map(|a| a.0), Some(4));
+        assert_eq!(kernel_anchor(&p, (0, 4)), None, "the range was evicted");
+        // Four transfers leave the ring without a kernel record.
+        for _ in 0..4 {
+            p.push(ProfileEvent::Transfer(TransferRecord {
+                dir: TransferDir::DtoH,
+                bytes: 8,
+                start_cycles: 0.0,
+                cycles: 1.0,
+            }));
+        }
+        assert_eq!(held(&p, 6..8), (vec![], 2));
+        assert_eq!(held(&p, 8..8), (vec![], 0));
     }
 
     #[test]

@@ -1066,6 +1066,10 @@ mod tests {
             b.submit(bad),
             Err(ServeError::Sampling(NextDoorError::RootOutOfRange { .. }))
         ));
+        assert!(matches!(
+            b.submit(Request::new(vec![vec![]], 0)),
+            Err(ServeError::Sampling(NextDoorError::EmptyInit))
+        ));
         assert_eq!(b.pending_len(), 0, "rejected requests hold no queue slot");
     }
 

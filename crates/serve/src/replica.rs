@@ -172,9 +172,8 @@ pub struct ReplicaPool {
 
 impl ReplicaPool {
     /// Builds a pool from caller-configured devices (one per replica; this
-    /// is where per-replica [`FaultPlan`]s are
-    /// installed) and one sampling app instance per replica, all over the
-    /// same `graph`.
+    /// is where per-replica [`FaultPlan`]s are installed), all over the same
+    /// `graph`, with `make_app` invoked once per replica.
     ///
     /// # Errors
     ///
@@ -184,21 +183,16 @@ impl ReplicaPool {
     pub fn new(
         gpus: Vec<Gpu>,
         graph: &Csr,
-        apps: Vec<Box<dyn SamplingApp + Send>>,
+        make_app: impl Fn() -> Box<dyn SamplingApp + Send>,
         cfg: PoolConfig,
     ) -> Result<Self, NextDoorError> {
         if gpus.is_empty() {
             return Err(NextDoorError::NoGpus);
         }
-        assert_eq!(
-            gpus.len(),
-            apps.len(),
-            "one sampling app instance per replica device"
-        );
         let mut replicas = Vec::with_capacity(gpus.len());
-        for (gpu, app) in gpus.into_iter().zip(apps) {
+        for gpu in gpus {
             replicas.push(Replica {
-                session: SamplerSession::with_gpu(gpu, graph.clone(), app)?,
+                session: SamplerSession::with_gpu(gpu, graph.clone(), make_app())?,
                 breaker: CircuitBreaker::new(cfg.breaker),
                 dispatches: 0,
                 failures: 0,
@@ -214,7 +208,7 @@ impl ReplicaPool {
     }
 
     /// Convenience constructor: `n` fault-free replicas of identical
-    /// `spec`, with `make_app` invoked once per replica.
+    /// `spec`.
     ///
     /// # Errors
     ///
@@ -227,8 +221,7 @@ impl ReplicaPool {
         cfg: PoolConfig,
     ) -> Result<Self, NextDoorError> {
         let gpus = (0..n).map(|_| Gpu::new(spec.clone())).collect();
-        let apps = (0..n).map(|_| make_app()).collect();
-        Self::new(gpus, graph, apps, cfg)
+        Self::new(gpus, graph, make_app, cfg)
     }
 
     /// Replicas in the pool (healthy or not).
@@ -537,9 +530,8 @@ mod tests {
                 }
                 gpu
             })
-            .collect::<Vec<_>>();
-        let apps = (0..gpus.len()).map(|_| app()).collect();
-        ReplicaPool::new(gpus, &g, apps, cfg).unwrap()
+            .collect();
+        ReplicaPool::new(gpus, &g, app, cfg).unwrap()
     }
 
     fn req(seed: u64) -> Request {

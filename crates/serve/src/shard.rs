@@ -190,12 +190,9 @@ impl ShardedPool {
         let mut admitted: Vec<usize> = Vec::with_capacity(queries.len());
         for (qi, q) in queries.iter().enumerate() {
             // Validate before routing: the home shard is looked up by seed
-            // vertex, so an out-of-range seed must never reach it.
-            let valid = validate_run(self.sampler.graph(), self.sampler.app(), &q.init);
-            if let Err(e) = valid.and_then(|()| match q.init[0].len() {
-                0 => Err(NextDoorError::EmptyInit),
-                _ => Ok(()),
-            }) {
+            // vertex, so a sample without one, or with an out-of-range
+            // one, must never reach it.
+            if let Err(e) = validate_run(self.sampler.graph(), self.sampler.app(), &q.init) {
                 results[qi] = Some(Err(ServeError::Sampling(e)));
                 continue;
             }
@@ -492,22 +489,23 @@ mod tests {
 
     #[test]
     fn invalid_query_is_typed_while_batchmates_are_served() {
-        // An out-of-range seed used to panic in home-shard routing.
+        // An out-of-range seed, or no seed at all, used to panic in
+        // home-shard routing.
         let (mut p, _g) = pool(2);
         let mut qs = queries(2);
-        qs.insert(
-            1,
-            SessionQuery {
-                init: vec![vec![u32::MAX]],
-                seed: 7,
-            },
-        );
+        for (i, init) in [(1, vec![vec![u32::MAX]]), (2, vec![vec![]])] {
+            qs.insert(i, SessionQuery { init, seed: 7 });
+        }
         let d = p.dispatch(&qs).unwrap();
         assert!(matches!(
             d.results[1],
             Err(ServeError::Sampling(NextDoorError::RootOutOfRange { .. }))
         ));
-        assert!(d.results[0].is_ok() && d.results[2].is_ok());
+        assert!(matches!(
+            d.results[2],
+            Err(ServeError::Sampling(NextDoorError::EmptyInit))
+        ));
+        assert!(d.results[0].is_ok() && d.results[3].is_ok());
     }
 
     #[test]

@@ -56,7 +56,7 @@ fn run_chaos(spec: &GpuSpec) -> (Vec<(&'static str, RequestId, RequestOutcome)>,
     let pool = ReplicaPool::new(
         gpus,
         &graph,
-        vec![app(), app(), app()],
+        app,
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.05,

@@ -239,10 +239,7 @@ fn serve_observability_is_thread_count_invariant() {
                 })),
             ],
             &graph,
-            vec![
-                Box::new(KHop::new(vec![3, 2])),
-                Box::new(KHop::new(vec![3, 2])),
-            ],
+            || Box::new(KHop::new(vec![3, 2])),
             nextdoor::serve::PoolConfig {
                 max_retries: 6,
                 backoff_base_ms: 0.001,

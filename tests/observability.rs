@@ -168,7 +168,7 @@ fn fleet_metrics_and_trace_reproduce_the_fleet_report() {
             mk_gpu(Some(storm().lose_device_at_launch(140))),
         ],
         &graph,
-        vec![app(), app()],
+        app,
         PoolConfig {
             max_retries: 6,
             backoff_base_ms: 0.001,
