@@ -1,7 +1,7 @@
 //! Thread-count determinism: the simulator's host worker pool must be
 //! invisible in every observable output. Each engine is run at worker
 //! counts {1, 2, 4, 8}; the samples, the nvprof-style counters, the merged
-//! profile ring and the fault report must be bit-identical across all of
+//! profile's records and the fault report must be bit-identical across all of
 //! them *and* identical to a checked-in golden digest, so a regression in
 //! the canonical-order reduction cannot hide behind "it's still internally
 //! consistent".
@@ -18,7 +18,7 @@ use nextdoor::core::tuning::{CacheConfig, TunerConfig};
 use nextdoor::core::{
     run_cpu, run_nextdoor, run_sample_parallel, run_vanilla_tp, RunResult, SamplerSession,
 };
-use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
+use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec, Profile};
 use nextdoor::graph::{Csr, VertexId};
 use nextdoor::serve::{MicroBatcher, Request, ServeConfig};
 
@@ -32,12 +32,26 @@ fn workload() -> (Csr, Vec<Vec<VertexId>>, KHop) {
 /// bit-for-bit).
 fn run_digest(res: &RunResult, gpu: &Gpu) -> String {
     format!(
-        "{}counters: {:?}\nreport: {:?}\nsim_ms: {:?}\nprofile: {:?}\n",
+        "{}counters: {:?}\nreport: {:?}\nsim_ms: {:?}\n{}",
         digest(&res.store),
         res.stats.counters,
         res.report,
         res.stats.total_ms,
-        gpu.profile(),
+        profile_digest(gpu.profile()),
+    )
+}
+
+/// A profile's records and totals, not its ring's layout: the buffered
+/// kernel and transfer records in order, the evicted-event count and the
+/// sum of every event.
+fn profile_digest(p: &Profile) -> String {
+    format!(
+        "profile kernels: {:?}\nprofile transfers: {:?}\nprofile evicted_events: {}\n\
+         profile total_counters: {:?}\n",
+        p.kernels().collect::<Vec<_>>(),
+        p.transfers().collect::<Vec<_>>(),
+        p.evicted_events(),
+        p.total_counters(),
     )
 }
 
@@ -112,9 +126,10 @@ fn multi_gpu_failover_is_thread_count_invariant() {
             .iter()
             .map(|r| r.store.final_samples())
             .collect();
+        let profiles: String = res.device_profiles.iter().map(profile_digest).collect();
         format!(
-            "samples: {samples:?}\nreport: {:?}\nmakespan_ms: {:?}\nprofiles: {:?}\n",
-            res.report, res.makespan_ms, res.device_profiles,
+            "samples: {samples:?}\nreport: {:?}\nmakespan_ms: {:?}\n{profiles}",
+            res.report, res.makespan_ms,
         )
     });
 }
