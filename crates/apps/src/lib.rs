@@ -32,51 +32,3 @@ pub use khop::{KHop, Mvs};
 pub use layer::Layer;
 pub use multirw::MultiRw;
 pub use walks::{DeepWalk, Node2Vec, Ppr};
-
-use nextdoor_core::SamplingApp;
-
-/// The paper's standard benchmark parameterisation (§8 "Benchmarks"):
-/// random walks of length 100 (PPR mean length 100), node2vec `p = 2.0`,
-/// `q = 0.5`, MultiRW with 100 roots, GraphSAGE's 2-hop `m = [25, 10]`,
-/// layer sampling to 2000 vertices in steps of 1000, importance/MVS batch
-/// and step size 64.
-pub fn paper_benchmark_apps() -> Vec<Box<dyn SamplingApp>> {
-    vec![
-        Box::new(DeepWalk::new(100)),
-        Box::new(Ppr::new(0.01)),
-        Box::new(Node2Vec::new(100, 2.0, 0.5)),
-        Box::new(MultiRw::new(100)),
-        Box::new(KHop::new(vec![25, 10])),
-        Box::new(Mvs::default()),
-        Box::new(Layer::new(1000, 2000)),
-        Box::new(FastGcn::new(2, 64)),
-        Box::new(Ladies::new(2, 64)),
-        Box::new(ClusterGcn::new(64)),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn benchmark_suite_is_complete() {
-        let apps = paper_benchmark_apps();
-        assert_eq!(apps.len(), 10);
-        let names: Vec<&str> = apps.iter().map(|a| a.name()).collect();
-        for expected in [
-            "DeepWalk",
-            "PPR",
-            "node2vec",
-            "MultiRW",
-            "k-hop",
-            "MVS",
-            "Layer",
-            "FastGCN",
-            "LADIES",
-            "ClusterGCN",
-        ] {
-            assert!(names.contains(&expected), "missing {expected}");
-        }
-    }
-}

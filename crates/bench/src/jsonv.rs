@@ -3,16 +3,21 @@
 //! The repo hand-writes all of its JSON (there is no serde in the tree),
 //! so CI needs an equally dependency-free way to hold the exported
 //! observability artifacts to a contract. [`parse`] is a strict
-//! recursive-descent JSON parser; [`validate`] checks a value against a
-//! schema document using the subset of JSON Schema the checked-in schemas
-//! under `schemas/` use: `type` (including `"integer"`), `required`,
-//! `properties`, `items`, `enum` and `const`. Unknown keywords are
-//! ignored, unknown object members are allowed — the contract pins shape,
-//! not closed-world exactness.
+//! recursive-descent JSON parser that refuses to nest deeper than 128
+//! levels, so hostile input cannot exhaust the stack; [`validate`] checks
+//! a value against a schema document using the subset of JSON Schema the
+//! checked-in schemas under `schemas/` use: `type` (including
+//! `"integer"`), `required`, `properties`, `items`, `enum` and `const`.
+//! Unknown keywords are ignored, unknown object members are allowed — the
+//! contract pins shape, not closed-world exactness.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
+
+/// The deepest array/object nesting the parser accepts; the committed
+/// documents nest at most 8 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value. Numbers are kept as `f64` (every number the
 /// exporters emit is exactly representable or printed from an `f64` in the
@@ -80,6 +85,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -112,8 +119,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, ParseError> {
         self.skip_ws();
         match self.b.get(self.i) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -121,6 +128,20 @@ impl<'a> Parser<'a> {
             Some(c) if c.is_ascii_digit() || *c == b'-' => self.number(),
             _ => self.err("expected a value"),
         }
+    }
+
+    /// Parses an array or object one nesting level down.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
@@ -181,6 +202,7 @@ impl<'a> Parser<'a> {
                             let hex = self
                                 .b
                                 .get(self.i..self.i + 4)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .and_then(|h| u32::from_str_radix(h, 16).ok());
                             let Some(code) = hex else {
@@ -279,6 +301,7 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         b: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -298,6 +321,7 @@ pub(crate) fn object_members(text: &str) -> Result<Vec<(String, Range<usize>)>, 
     let mut p = Parser {
         b: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let mut members = Vec::new();
     p.skip_ws();
@@ -404,6 +428,86 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error() {
+        let deep = "[".repeat(100_000);
+        assert!(parse(&deep).unwrap_err().msg.contains("nesting"));
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert_eq!(parse(&past_cap).unwrap_err().at, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#), Ok(Json::Str("A".into())));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u04""#] {
+            assert!(parse(bad).is_err(), "{bad} was accepted");
+        }
+    }
+
+    /// The committed JSON documents: the schemas and the CI-diffed metrics
+    /// exports.
+    fn corpus() -> Vec<Vec<u8>> {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut docs = Vec::new();
+        for (dir, prefix) in [("schemas", ""), ("results", "metrics_")] {
+            for entry in std::fs::read_dir(root.join(dir)).unwrap() {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                if name.starts_with(prefix) && name.ends_with(".json") {
+                    docs.push(std::fs::read(&path).unwrap());
+                }
+            }
+        }
+        docs.sort();
+        assert!(
+            docs.len() >= 6,
+            "expected the schemas and four metrics exports"
+        );
+        docs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Flipping, inserting, deleting and truncating bytes of a
+        /// committed document never panics: every result is a value or a
+        /// `ParseError` that points inside the text.
+        #[test]
+        fn mutated_documents_parse_or_fail_typed(
+            doc in 0usize..64,
+            edits in proptest::collection::vec((0u8..4, 0usize..1 << 16, 0u8..=255), 1..8),
+        ) {
+            let docs = corpus();
+            let mut bytes = docs[doc % docs.len()].clone();
+            for (kind, at, byte) in edits {
+                let at = at % (bytes.len() + 1);
+                match kind {
+                    0 if at < bytes.len() => bytes[at] ^= byte.max(1),
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.truncate(at),
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            if let Err(e) = parse(&text) {
+                proptest::prop_assert!(e.at <= text.len(), "{e} past the end");
+            }
+            if let Err(e) = object_members(&text) {
+                proptest::prop_assert!(e.at <= text.len(), "{e} past the end");
+            }
+        }
     }
 
     #[test]

@@ -401,6 +401,26 @@ mod tests {
     }
 
     #[test]
+    fn benchmark_suite_is_complete() {
+        let names: Vec<&str> = benchmark_suite().iter().map(|(a, _)| a.name()).collect();
+        assert_eq!(
+            names,
+            [
+                "DeepWalk",
+                "PPR",
+                "node2vec",
+                "MultiRW",
+                "k-hop",
+                "MVS",
+                "Layer",
+                "FastGCN",
+                "LADIES",
+                "ClusterGCN"
+            ]
+        );
+    }
+
+    #[test]
     fn speedup_formatting() {
         assert_eq!(speedup(10.0, 2.0), "5.00x");
         assert_eq!(speedup(10.0, 0.0), "n/a");

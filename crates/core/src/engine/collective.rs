@@ -15,7 +15,9 @@ use crate::engine::scheduling::SchedulingIndex;
 use nextdoor_gpu::algorithms::exclusive_scan;
 use nextdoor_gpu::lane::with_lane_traces;
 use nextdoor_gpu::warp::mask_first_n;
-use nextdoor_gpu::{BlockShards, DeviceBuffer, Gpu, LaunchConfig, SyncSlice, WARP_SIZE};
+use nextdoor_gpu::{
+    BlockShards, DeviceBuffer, Gpu, LaunchConfig, OutOfMemory, SyncSlice, WARP_SIZE,
+};
 use nextdoor_graph::VertexId;
 
 /// The combined neighbourhoods of all samples for one step.
@@ -32,7 +34,14 @@ pub(crate) struct CombinedNeighborhoods {
 
 /// Computes the functional combined neighbourhoods and allocates the device
 /// buffer, charging the degree scan that sizes the per-sample regions.
-pub(crate) fn prepare_combined(gpu: &mut Gpu, ex: &StepExec<'_>) -> CombinedNeighborhoods {
+///
+/// # Errors
+///
+/// Returns [`OutOfMemory`] when a device allocation fails.
+pub(crate) fn prepare_combined(
+    gpu: &mut Gpu,
+    ex: &StepExec<'_>,
+) -> Result<CombinedNeighborhoods, OutOfMemory> {
     let ns = ex.store.num_samples();
     let tps = ex.plan.tps;
     let mut vertices = Vec::new();
@@ -57,16 +66,16 @@ pub(crate) fn prepare_combined(gpu: &mut Gpu, ex: &StepExec<'_>) -> CombinedNeig
     }
     // The offsets of each transit's slice inside the combined buffers are
     // produced by a device-wide scan of the per-pair degrees.
-    let deg_dev = gpu.to_device(&pair_degrees);
-    let (_offsets, _total) = exclusive_scan(gpu, &deg_dev);
-    let mut device = gpu.alloc::<u32>(vertices.len().max(1));
+    let deg_dev = gpu.try_to_device(&pair_degrees)?;
+    exclusive_scan(gpu, &deg_dev)?;
+    let mut device = gpu.try_alloc::<u32>(vertices.len().max(1))?;
     device.as_mut_slice()[..vertices.len()].copy_from_slice(&vertices);
-    CombinedNeighborhoods {
+    Ok(CombinedNeighborhoods {
         vertices,
         ranges,
         sample_transits,
         device,
-    }
+    })
 }
 
 /// Transit-parallel combined-neighbourhood build (NextDoor): one block per

@@ -111,9 +111,9 @@ fn key_bound(pairs: &[(VertexId, u32)], tuning: &TuningPlan, num_vertices: usize
 ///
 /// # Errors
 ///
-/// Returns [`OutOfMemory`] when a scheduling-stage device allocation fails
-/// (genuinely or through a scripted fault); [`run_device_step`] retries
-/// the step when the fault was injected.
+/// Returns [`OutOfMemory`] when a device allocation fails (genuinely or
+/// through a scripted fault); [`run_device_step`] retries the step when the
+/// fault was injected.
 #[allow(clippy::too_many_arguments)]
 fn exec_step(
     gpu: &mut Gpu,
@@ -187,7 +187,7 @@ fn exec_step(
             }
         },
         SamplingType::Collective => {
-            let mut comb = prepare_combined(gpu, ex);
+            let mut comb = prepare_combined(gpu, ex)?;
             match kind {
                 GpuEngineKind::NextDoor | GpuEngineKind::VanillaTp => {
                     let c0 = gpu.counters().cycles;
@@ -307,7 +307,7 @@ pub(crate) fn run_device_step(
         let cache = cache.as_deref_mut();
         sched_cycles += exec_step(gpu, ex, kind, pairs, &transit_buf, tuning, cache, &mut out)?;
         if ex.app.unique(step) {
-            unique::dedup_values_gpu(gpu, &mut out.values, slots, ns);
+            unique::dedup_values_gpu(gpu, &mut out.values, slots, ns)?;
         }
         let events = gpu.take_faults();
         if events.is_empty() {
@@ -460,8 +460,7 @@ pub(crate) fn engine_stats(
 }
 
 /// Folds a finished step loop into a [`RunResult`] (see [`engine_stats`]).
-/// Shared by the one-shot entry points, the out-of-core engine and the
-/// persistent [`SamplerSession`](crate::session::SamplerSession).
+/// Shared by the one-shot entry points and the out-of-core engine.
 pub(crate) fn finish_run(
     gpu: &Gpu,
     counters0: &Counters,

@@ -53,27 +53,15 @@ impl KernelPhase {
             KernelPhase::Other => "other",
         }
     }
-
-    /// Whether the phase runs user `next` code (as opposed to scheduling
-    /// or bookkeeping).
-    pub fn is_sampling(self) -> bool {
-        matches!(
-            self,
-            KernelPhase::SubWarp
-                | KernelPhase::Block
-                | KernelPhase::Grid
-                | KernelPhase::SampleParallel
-                | KernelPhase::Collective
-        )
-    }
 }
 
 /// Classifies a kernel launch name into its pipeline phase.
 pub fn classify_kernel(name: &str) -> KernelPhase {
     match name {
         "radix_single_tile" | "radix_histogram" | "radix_scan_bins" | "radix_scatter"
-        | "scan_init" | "scan_tiles" | "rle_init" | "rle_sweep" | "histogram"
-        | "partition_transits" => KernelPhase::Scheduling,
+        | "scan_init" | "scan_tiles" | "rle_init" | "rle_sweep" | "partition_transits" => {
+            KernelPhase::Scheduling
+        }
         "step_transits" => KernelPhase::Transit,
         "nextdoor_subwarp" => KernelPhase::SubWarp,
         "nextdoor_block" | "tp_block" => KernelPhase::Block,
@@ -194,8 +182,6 @@ mod tests {
         assert_eq!(classify_kernel("collective_next"), KernelPhase::Collective);
         assert_eq!(classify_kernel("unique_dedup"), KernelPhase::PostProcess);
         assert_eq!(classify_kernel("mystery"), KernelPhase::Other);
-        assert!(KernelPhase::SubWarp.is_sampling());
-        assert!(!KernelPhase::Scheduling.is_sampling());
         assert_eq!(KernelPhase::SampleParallel.label(), "sample-parallel");
     }
 }

@@ -84,9 +84,9 @@ pub fn build_scheduling_index(
     let max_key = (num_vertices - 1) as u32;
     let keys = gpu.try_to_device(&keys_host)?;
     let vals = gpu.try_to_device(&vals_host)?;
-    let (sorted_keys, sorted_vals) = radix_sort_pairs(gpu, &keys, &vals, max_key);
-    let (transits, counts) = run_length_encode(gpu, &sorted_keys);
-    let (starts, _) = exclusive_scan(gpu, &counts);
+    let (sorted_keys, sorted_vals) = radix_sort_pairs(gpu, &keys, &vals, max_key)?;
+    let (transits, counts) = run_length_encode(gpu, &sorted_keys)?;
+    let (starts, _) = exclusive_scan(gpu, &counts)?;
     let segments = transits
         .as_slice()
         .iter()
@@ -159,8 +159,8 @@ pub fn partition_kernel_classes(
             w.st_global(&class_dev, &safe, cls, msk);
         });
     });
-    let (positions, _) = exclusive_scan(gpu, &class_dev);
-    let _ = positions; // Scan pass charged; host materialises the lists.
+    // The scan pass is charged; the host materialises the lists.
+    exclusive_scan(gpu, &class_dev)?;
     for (i, seg) in index.segments.iter().enumerate() {
         let threads = seg.count * m;
         if threads <= WARP_SIZE {

@@ -8,7 +8,7 @@
 
 use crate::api::NULL_VERTEX;
 use nextdoor_gpu::algorithms::bitonic_sort_shared;
-use nextdoor_gpu::{Gpu, LaunchConfig, WARP_SIZE};
+use nextdoor_gpu::{Gpu, LaunchConfig, OutOfMemory, WARP_SIZE};
 use nextdoor_graph::VertexId;
 
 /// Deduplicates each sample's slice of `values` in place: the slice becomes
@@ -38,12 +38,22 @@ pub fn dedup_values(values: &mut [VertexId], slots: usize, num_samples: usize) {
 /// GPU variant: performs [`dedup_values`] while charging the in-block
 /// bitonic sort and the compaction scan, one thread block per sample (the
 /// paper assigns one sample to one block when it fits in shared memory).
-pub fn dedup_values_gpu(gpu: &mut Gpu, values: &mut [VertexId], slots: usize, num_samples: usize) {
+///
+/// # Errors
+///
+/// Returns [`OutOfMemory`] when a device allocation fails; `values` is then
+/// left unchanged.
+pub fn dedup_values_gpu(
+    gpu: &mut Gpu,
+    values: &mut [VertexId],
+    slots: usize,
+    num_samples: usize,
+) -> Result<(), OutOfMemory> {
     let padded = slots.next_power_of_two();
     let block_dim = padded.clamp(WARP_SIZE, 1024);
     let shared_fits = padded * 4 <= gpu.spec().shared_mem_per_block;
-    let vals_dev = gpu.to_device(values);
-    let out_dev = gpu.alloc::<u32>(values.len());
+    let vals_dev = gpu.try_to_device(values)?;
+    let out_dev = gpu.try_alloc::<u32>(values.len())?;
     gpu.launch(
         "unique_dedup",
         LaunchConfig {
@@ -101,6 +111,7 @@ pub fn dedup_values_gpu(gpu: &mut Gpu, values: &mut [VertexId], slots: usize, nu
         },
     );
     dedup_values(values, slots, num_samples);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -136,7 +147,7 @@ mod tests {
         let mut v = vec![7, 7, 3, 3, 10, 2, 2, NULL_VERTEX];
         let mut expect = v.clone();
         dedup_values(&mut expect, 4, 2);
-        dedup_values_gpu(&mut gpu, &mut v, 4, 2);
+        dedup_values_gpu(&mut gpu, &mut v, 4, 2).unwrap();
         assert_eq!(v, expect);
         assert!(gpu.counters().shared_loads > 0, "bitonic sort charged");
         assert!(gpu.counters().launches >= 1);

@@ -21,34 +21,45 @@ pub struct GpuGraph {
     pub max_weights: DeviceBuffer<f32>,
 }
 
+/// The host arrays both placements copy besides the column indices: row
+/// offsets, degrees, maximum weights and a weighted graph's flattened
+/// weights.
+struct HostArrays {
+    offsets: Vec<u32>,
+    degrees: Vec<u32>,
+    max_weights: Vec<f32>,
+    weights: Option<Vec<f32>>,
+}
+
+impl HostArrays {
+    fn of(g: &Csr) -> Self {
+        let vertices = 0..g.num_vertices() as VertexId;
+        HostArrays {
+            offsets: g.row_offsets().iter().map(|&o| o as u32).collect(),
+            degrees: vertices.clone().map(|v| g.degree(v) as u32).collect(),
+            max_weights: vertices.clone().map(|v| g.max_edge_weight(v)).collect(),
+            weights: g.is_weighted().then(|| {
+                let mut all = Vec::with_capacity(g.num_edges());
+                for v in vertices {
+                    all.extend_from_slice(g.edge_weights(v).unwrap_or_default());
+                }
+                all
+            }),
+        }
+    }
+}
+
 impl GpuGraph {
     /// Uploads `g`, charging the host-to-device transfer when the GPU has
     /// transfer charging enabled.
     pub fn upload(gpu: &mut Gpu, g: &Csr) -> Result<Self, OutOfMemory> {
-        let offsets: Vec<u32> = g.row_offsets().iter().map(|&o| o as u32).collect();
-        let degrees: Vec<u32> = (0..g.num_vertices() as VertexId)
-            .map(|v| g.degree(v) as u32)
-            .collect();
-        let max_weights: Vec<f32> = (0..g.num_vertices() as VertexId)
-            .map(|v| g.max_edge_weight(v))
-            .collect();
+        let h = HostArrays::of(g);
         Ok(GpuGraph {
-            row_offsets: gpu.try_to_device(&offsets)?,
+            row_offsets: gpu.try_to_device(&h.offsets)?,
             cols: gpu.try_to_device(g.col_indices())?,
-            weights: match g.is_weighted() {
-                true => {
-                    let mut all = Vec::with_capacity(g.num_edges());
-                    for v in 0..g.num_vertices() as VertexId {
-                        if let Some(ws) = g.edge_weights(v) {
-                            all.extend_from_slice(ws);
-                        }
-                    }
-                    Some(gpu.try_to_device(&all)?)
-                }
-                false => None,
-            },
-            degrees: gpu.try_to_device(&degrees)?,
-            max_weights: gpu.try_to_device(&max_weights)?,
+            weights: h.weights.map(|w| gpu.try_to_device(&w)).transpose()?,
+            degrees: gpu.try_to_device(&h.degrees)?,
+            max_weights: gpu.try_to_device(&h.max_weights)?,
         })
     }
 
@@ -58,30 +69,13 @@ impl GpuGraph {
     /// injection. The out-of-core engine uses this and models residency
     /// through explicit per-step sub-graph transfer charges.
     pub fn upload_staged(gpu: &mut Gpu, g: &Csr) -> Self {
-        let offsets: Vec<u32> = g.row_offsets().iter().map(|&o| o as u32).collect();
-        let degrees: Vec<u32> = (0..g.num_vertices() as VertexId)
-            .map(|v| g.degree(v) as u32)
-            .collect();
-        let max_weights: Vec<f32> = (0..g.num_vertices() as VertexId)
-            .map(|v| g.max_edge_weight(v))
-            .collect();
+        let h = HostArrays::of(g);
         GpuGraph {
-            row_offsets: gpu.host_stage(&offsets),
+            row_offsets: gpu.host_stage(&h.offsets),
             cols: gpu.host_stage(g.col_indices()),
-            weights: match g.is_weighted() {
-                true => {
-                    let mut all = Vec::with_capacity(g.num_edges());
-                    for v in 0..g.num_vertices() as VertexId {
-                        if let Some(ws) = g.edge_weights(v) {
-                            all.extend_from_slice(ws);
-                        }
-                    }
-                    Some(gpu.host_stage(&all))
-                }
-                false => None,
-            },
-            degrees: gpu.host_stage(&degrees),
-            max_weights: gpu.host_stage(&max_weights),
+            weights: h.weights.map(|w| gpu.host_stage(&w)),
+            degrees: gpu.host_stage(&h.degrees),
+            max_weights: gpu.host_stage(&h.max_weights),
         }
     }
 

@@ -80,7 +80,7 @@ pub use engine::{initial_samples_random, EngineStats, RunResult, SampleKeys};
 pub use error::{validate_run, FaultReport, NextDoorError};
 pub use gpu_graph::GpuGraph;
 pub use session::{ClassMark, FusedResult, SamplerSession, SessionQuery};
-pub use sharded::{ShardHandoff, ShardedFusedResult, ShardedRunOut, ShardedSampler, SuperStepMark};
+pub use sharded::{ShardHandoff, ShardedFusedResult, ShardedSampler, SuperStepMark};
 pub use store::SampleStore;
 pub use tuning::{AutoTuner, CacheConfig, CacheStats, HotTransitCache, TunerConfig, TuningPlan};
 

@@ -44,11 +44,6 @@ impl MultiGpuResult {
     pub fn stats(&self) -> Vec<&EngineStats> {
         self.per_gpu.iter().map(|r| &r.stats).collect()
     }
-
-    /// Total samples across all shards.
-    pub fn total_samples(&self) -> usize {
-        self.per_gpu.iter().map(|r| r.store.num_samples()).sum()
-    }
 }
 
 /// Picks the least-loaded live device: among indices where `alive` is
@@ -251,7 +246,8 @@ mod tests {
         let spec = GpuSpec::small();
         let res = run_nextdoor_multi_gpu(&spec, 4, &g, &Walk(4), &init, 5, &[]).unwrap();
         assert_eq!(res.per_gpu.len(), 4);
-        assert_eq!(res.total_samples(), 100);
+        let total: usize = res.per_gpu.iter().map(|r| r.store.num_samples()).sum();
+        assert_eq!(total, 100);
         assert!(res.makespan_ms > 0.0);
         assert!(res.report.is_clean());
         for r in &res.per_gpu {

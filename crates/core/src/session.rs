@@ -56,7 +56,7 @@
 //! ```
 
 use crate::api::SamplingApp;
-use crate::engine::driver::{engine_stats, finish_run, run_step_loop, GpuEngineKind, StepTally};
+use crate::engine::driver::{engine_stats, run_step_loop, GpuEngineKind, StepTally};
 use crate::engine::profile::RunProfile;
 use crate::engine::{EngineStats, RunResult, SampleKeys};
 use crate::error::{validate_run, FaultReport, NextDoorError};
@@ -337,7 +337,7 @@ impl SamplerSession {
         }
     }
 
-    /// Answers one query against the resident graph.
+    /// Answers one query against the resident graph: a fused batch of one.
     ///
     /// Produces exactly the samples a cold one-shot
     /// [`run_nextdoor`](crate::run_nextdoor) call with the same
@@ -349,12 +349,17 @@ impl SamplerSession {
     /// Same conditions as [`run_nextdoor`](crate::run_nextdoor), minus the
     /// upload paths (the graph is already resident).
     pub fn query(&mut self, init: &[Vec<VertexId>], seed: u64) -> Result<RunResult, NextDoorError> {
-        validate_run(&self.graph, self.app.as_ref(), init)?;
-        let keys = SampleKeys::uniform(seed);
-        let res = self.run_batch(init, &keys)?;
-        self.queries_served += 1;
-        self.after_query(&res.stats.profile);
-        Ok(res)
+        let query = SessionQuery {
+            init: init.to_vec(),
+            seed,
+        };
+        let mut res = self.query_fused(std::slice::from_ref(&query))?;
+        Ok(RunResult {
+            // One query in, one store out.
+            store: res.per_query.swap_remove(0),
+            stats: res.stats,
+            report: res.report,
+        })
     }
 
     /// Runs several queries as **one fused transit-parallel batch** and
@@ -433,31 +438,6 @@ impl SamplerSession {
         })
     }
 
-    /// The shared body of single and fused queries: snapshot the device,
-    /// run the fault-tolerant step loop against the resident graph, and
-    /// fold counters and profile into a result.
-    fn run_batch(
-        &mut self,
-        init: &[Vec<VertexId>],
-        keys: &SampleKeys,
-    ) -> Result<RunResult, NextDoorError> {
-        let counters0 = *self.gpu.counters();
-        let launch0 = self.gpu.launches_issued();
-        let out = run_step_loop(
-            &mut self.gpu,
-            &self.graph,
-            &self.gg,
-            self.app.as_ref(),
-            init,
-            keys,
-            GpuEngineKind::NextDoor,
-            None,
-            &self.plan,
-            self.cache.as_mut(),
-        )?;
-        Ok(finish_run(&self.gpu, &counters0, launch0, out))
-    }
-
     /// Simulated milliseconds the session's device has accumulated across
     /// all queries so far. The serving layer measures per-request latency
     /// and deadlines on this clock.
@@ -478,11 +458,6 @@ impl SamplerSession {
     /// The application this session serves.
     pub fn app(&self) -> &dyn SamplingApp {
         self.app.as_ref()
-    }
-
-    /// Device bytes occupied by the resident graph.
-    pub fn graph_bytes(&self) -> usize {
-        self.gg.size_bytes()
     }
 
     /// Schedules additional faults **relative to now**: every allocation
@@ -562,7 +537,6 @@ mod tests {
         }
         assert_eq!(session.queries_served(), 3);
         assert!(session.sim_ms() > 0.0);
-        assert!(session.graph_bytes() > 0);
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! any shard count, placement seed or host thread count. Shard faults are
 //! retried bit-identically by that same device step; a *lost* shard is not
 //! an error: its walkers' slots stay `NULL_VERTEX`, which
-//! deterministically terminates them at the next plan, and the run reports
-//! them as [`ShardedRunOut::walkers_lost`].
+//! deterministically terminates them at the next plan, and the batch
+//! reports them as [`ShardedFusedResult::walkers_lost`].
 //!
 //! Sharding supports individual-transit applications that neither require
 //! per-step unique neighbours nor read adjacency of vertices other than
@@ -44,6 +44,7 @@
 //!
 //! ```
 //! use nextdoor_core::api::{NextCtx, SamplingApp, Steps};
+//! use nextdoor_core::session::SessionQuery;
 //! use nextdoor_core::sharded::ShardedSampler;
 //! use nextdoor_core::run_nextdoor;
 //! use nextdoor_gpu::{Gpu, GpuSpec};
@@ -66,19 +67,20 @@
 //! let init: Vec<Vec<u32>> = (0..12).map(|i| vec![i * 17 % 256]).collect();
 //! let mut sharded = ShardedSampler::new(GpuSpec::small(), graph.clone(),
 //!     Box::new(Walk), 3, 0xC0FFEE).expect("valid sharded config");
-//! let out = sharded.query(&init, 42).expect("valid query");
+//! let query = SessionQuery { init: init.clone(), seed: 42 };
+//! let out = sharded.query_fused(&[query]).expect("valid query");
 //!
 //! // Bit-identical to the single-device run of the same query.
 //! let mut gpu = Gpu::new(GpuSpec::small());
 //! let solo = run_nextdoor(&mut gpu, &graph, &Walk, &init, 42).unwrap();
-//! assert_eq!(out.store.final_samples(), solo.store.final_samples());
+//! assert_eq!(out.per_query[0].final_samples(), solo.store.final_samples());
 //! ```
 
 use crate::api::{SamplingApp, SamplingType, NULL_VERTEX};
 use crate::engine::driver::{live_pairs, run_device_step, upload_frontier, GpuEngineKind};
 use crate::engine::kernels::StepExec;
 use crate::engine::{finish_step, plan_step, step_budget, SampleKeys};
-use crate::error::{validate_run, FaultReport, NextDoorError};
+use crate::error::{FaultReport, NextDoorError};
 use crate::gpu_graph::GpuGraph;
 use crate::session::{unfuse, width_classes, SessionQuery};
 use crate::store::SampleStore;
@@ -131,31 +133,9 @@ pub struct SuperStepMark {
     pub handoffs: Vec<ShardHandoff>,
 }
 
-/// Result of one sharded query (or one width class of a fused batch).
-#[derive(Debug)]
-pub struct ShardedRunOut {
-    /// The sampled store, bit-identical to the single-device run.
-    pub store: SampleStore,
-    /// Steps actually executed.
-    pub steps_run: usize,
-    /// Faults the whole fleet observed, merged across shards.
-    pub report: FaultReport,
-    /// Per-shard fault reports for this query.
-    pub shard_reports: Vec<FaultReport>,
-    /// Simulated end-to-end time on the fleet clock: per step, the slowest
-    /// shard plus the exchange phase.
-    pub elapsed_ms: f64,
-    /// Walkers handed between shards over the whole query.
-    pub handoffs: u64,
-    /// Walkers terminated because their owner shard was lost.
-    pub walkers_lost: u64,
-    /// Per-super-step breakdown in execution order.
-    pub super_steps: Vec<SuperStepMark>,
-}
-
-/// Result of a fused sharded batch: per-query stores (bit-identical to
-/// standalone runs) plus the batch-level sharding telemetry aggregated
-/// over all width classes.
+/// Result of a sharded batch of one or more queries: per-query stores
+/// (bit-identical to single-device runs) plus the batch-level sharding
+/// telemetry aggregated over all width classes.
 #[derive(Debug)]
 pub struct ShardedFusedResult {
     /// Per-query sample stores, in submission order.
@@ -353,11 +333,6 @@ impl ShardedSampler {
         &self.shards[s].gpu
     }
 
-    /// Device bytes the shard's sub-graph occupies.
-    pub fn shard_graph_bytes(&self, s: usize) -> usize {
-        self.shards[s].gg.size_bytes()
-    }
-
     /// Schedules faults on shard `s` **relative to now**, shifting the
     /// plan's allocation and launch indices by the shard device's current
     /// monotonic counters (the chaos-harness entry point, mirroring
@@ -368,88 +343,63 @@ impl ShardedSampler {
         gpu.extend_faults(shifted);
     }
 
-    /// Answers one query across the fleet.
+    /// Answers a batch of queries across the fleet, split into width
+    /// classes exactly like
+    /// [`SamplerSession::query_fused`](crate::session::SamplerSession::query_fused),
+    /// and slices the stores back per query.
     ///
-    /// Produces samples bit-identical to the single-device
-    /// [`run_nextdoor`](crate::run_nextdoor) of the same
+    /// Per-sample RNG keying makes every query's store bit-identical to the
+    /// single-device [`run_nextdoor`](crate::run_nextdoor) of the same
     /// `(graph, app, init, seed)` as long as no shard is lost; with losses,
     /// the affected walkers terminate deterministically at the shard
-    /// boundary and are counted in [`ShardedRunOut::walkers_lost`].
+    /// boundary and are counted in [`ShardedFusedResult::walkers_lost`].
     ///
     /// # Errors
     ///
-    /// Input validation as [`validate_run`]; genuine device-memory
-    /// exhaustion and steps exceeding the retry budget propagate as for
-    /// the single-device engines. Shard *loss* is not an error.
-    pub fn query(
-        &mut self,
-        init: &[Vec<VertexId>],
-        seed: u64,
-    ) -> Result<ShardedRunOut, NextDoorError> {
-        validate_run(&self.graph, self.app.as_ref(), init)?;
-        let keys = SampleKeys::uniform(seed);
-        let out = self.run_batch(init, &keys)?;
-        self.queries_served += 1;
-        Ok(out)
-    }
-
-    /// Runs several queries as one fused batch (split into width classes
-    /// exactly like
-    /// [`SamplerSession::query_fused`](crate::session::SamplerSession::query_fused))
-    /// and slices the stores back per query. Per-sample RNG keying makes
-    /// every query's store bit-identical to its standalone run.
-    ///
-    /// # Errors
-    ///
-    /// [`NextDoorError::EmptyInit`] for an empty batch, any
-    /// [`validate_run`] error for an individual query, and the runtime
-    /// errors of [`ShardedSampler::query`].
+    /// [`NextDoorError::EmptyInit`] for an empty batch and any
+    /// [`validate_run`](crate::error::validate_run) error for an individual
+    /// query; genuine device-memory exhaustion and steps exceeding the
+    /// retry budget propagate as for the single-device engines. Shard
+    /// *loss* is not an error.
     pub fn query_fused(
         &mut self,
         queries: &[SessionQuery],
     ) -> Result<ShardedFusedResult, NextDoorError> {
         let classes = width_classes(&self.graph, self.app.as_ref(), queries)?;
-        let mut report = FaultReport::default();
-        let mut shard_reports = vec![FaultReport::default(); self.shards.len()];
-        let mut elapsed_ms = 0.0;
-        let mut handoffs = 0u64;
-        let mut walkers_lost = 0u64;
-        let mut super_steps = Vec::new();
+        let mut res = ShardedFusedResult {
+            per_query: Vec::new(),
+            launches: classes.len(),
+            elapsed_ms: 0.0,
+            report: FaultReport::default(),
+            shard_reports: vec![FaultReport::default(); self.shards.len()],
+            handoffs: 0,
+            walkers_lost: 0,
+            super_steps: Vec::new(),
+        };
         let mut stores = Vec::with_capacity(classes.len());
         for class in &classes {
-            let out = self.run_batch(&class.init, &class.keys)?;
-            report.merge(&out.report);
-            for (sr, r) in shard_reports.iter_mut().zip(&out.shard_reports) {
-                sr.merge(r);
-            }
-            elapsed_ms += out.elapsed_ms;
-            handoffs += out.handoffs;
-            walkers_lost += out.walkers_lost;
-            super_steps.extend(out.super_steps);
-            stores.push(out.store);
+            stores.push(self.run_class(&class.init, &class.keys, &mut res)?);
         }
+        for r in &res.shard_reports {
+            res.report.merge(r);
+        }
+        res.per_query = unfuse(&classes, &stores);
         self.queries_served += queries.len() as u64;
-        Ok(ShardedFusedResult {
-            per_query: unfuse(&classes, &stores),
-            launches: classes.len(),
-            elapsed_ms,
-            report,
-            shard_reports,
-            handoffs,
-            walkers_lost,
-            super_steps,
-        })
+        Ok(res)
     }
 
-    /// The super-step loop shared by single and fused queries.
-    fn run_batch(
+    /// The super-step loop of one width class: adds the class's fleet
+    /// time, per-shard fault reports, hand-offs, losses and super-steps to
+    /// `res` and returns its store.
+    fn run_class(
         &mut self,
         init: &[Vec<VertexId>],
         keys: &SampleKeys,
-    ) -> Result<ShardedRunOut, NextDoorError> {
+        res: &mut ShardedFusedResult,
+    ) -> Result<SampleStore, NextDoorError> {
         let app = self.app.as_ref();
         let num_shards = self.shards.len();
-        let mut shard_reports = vec![FaultReport::default(); num_shards];
+        let shard_reports = &mut res.shard_reports;
         let mut store = SampleStore::new(init.to_vec());
         let ns = store.num_samples();
         let baseline = TuningPlan::default();
@@ -462,7 +412,7 @@ impl ShardedSampler {
         let mut prev_bufs: Vec<Option<DeviceBuffer<u32>>> = Vec::with_capacity(num_shards);
         let mut elapsed_ms = 0.0f64;
         let mut init_ms = 0.0f64;
-        for (shard, report) in self.shards.iter_mut().zip(&mut shard_reports) {
+        for (shard, report) in self.shards.iter_mut().zip(shard_reports.iter_mut()) {
             let c0 = shard.gpu.counters().cycles;
             let buf = upload_frontier(&mut shard.gpu, report, init)?;
             init_ms = init_ms.max(self.spec.cycles_to_ms(shard.gpu.counters().cycles - c0));
@@ -470,7 +420,6 @@ impl ShardedSampler {
         }
         elapsed_ms += init_ms;
 
-        let mut steps_run = 0usize;
         let mut total_handoffs = 0u64;
         let mut walkers_lost = 0u64;
         let mut super_steps: Vec<SuperStepMark> = Vec::new();
@@ -617,25 +566,15 @@ impl ShardedSampler {
             });
 
             finish_step(app, &mut store, &plan, merged_values, merged_edges);
-            steps_run += 1;
             prev_transits = Some((plan.transits, plan.tps));
         }
 
         self.clock_ms += elapsed_ms;
-        let mut report = FaultReport::default();
-        for r in &shard_reports {
-            report.merge(r);
-        }
-        Ok(ShardedRunOut {
-            store,
-            steps_run,
-            report,
-            shard_reports,
-            elapsed_ms,
-            handoffs: total_handoffs,
-            walkers_lost,
-            super_steps,
-        })
+        res.elapsed_ms += elapsed_ms;
+        res.handoffs += total_handoffs;
+        res.walkers_lost += walkers_lost;
+        res.super_steps.extend(super_steps);
+        Ok(store)
     }
 }
 
@@ -689,6 +628,14 @@ mod tests {
         }
     }
 
+    /// One query as a batch of one.
+    fn one(init: &[Vec<u32>], seed: u64) -> [SessionQuery; 1] {
+        [SessionQuery {
+            init: init.to_vec(),
+            seed,
+        }]
+    }
+
     fn workload() -> (Csr, Vec<Vec<u32>>) {
         let g = rmat(8, 2000, RmatParams::SKEWED, 3);
         let init: Vec<Vec<u32>> = (0..24).map(|i| vec![i * 5 % 256]).collect();
@@ -702,11 +649,11 @@ mod tests {
             let mut sharded =
                 ShardedSampler::new(GpuSpec::small(), g.clone(), Box::new(Walk(6)), shards, 7)
                     .unwrap();
-            let out = sharded.query(&init, 42).unwrap();
+            let out = sharded.query_fused(&one(&init, 42)).unwrap();
             let mut gpu = Gpu::new(GpuSpec::small());
             let solo = run_nextdoor(&mut gpu, &g, &Walk(6), &init, 42).unwrap();
             assert_eq!(
-                out.store.final_samples(),
+                out.per_query[0].final_samples(),
                 solo.store.final_samples(),
                 "{shards} shards diverged from single-device"
             );
@@ -723,12 +670,11 @@ mod tests {
         let (g, init) = workload();
         let mut sharded =
             ShardedSampler::new(GpuSpec::small(), g.clone(), Box::new(Fanout), 3, 11).unwrap();
-        let out = sharded.query(&init, 9).unwrap();
+        let out = sharded.query_fused(&one(&init, 9)).unwrap();
         let mut gpu = Gpu::new(GpuSpec::small());
         let solo = run_nextdoor(&mut gpu, &g, &Fanout, &init, 9).unwrap();
-        assert_eq!(out.store.final_samples(), solo.store.final_samples());
-        for (a, b) in out
-            .store
+        assert_eq!(out.per_query[0].final_samples(), solo.store.final_samples());
+        for (a, b) in out.per_query[0]
             .final_samples()
             .iter()
             .zip(solo.store.final_samples().iter())
@@ -742,7 +688,7 @@ mod tests {
         let (g, init) = workload();
         let mut sharded =
             ShardedSampler::new(GpuSpec::small(), g.clone(), Box::new(Walk(6)), 4, 7).unwrap();
-        let out = sharded.query(&init, 42).unwrap();
+        let out = sharded.query_fused(&one(&init, 42)).unwrap();
         let from_marks: u64 = out
             .super_steps
             .iter()
@@ -769,8 +715,8 @@ mod tests {
         assert_eq!(fused.per_query.len(), 3);
         assert_eq!(fused.launches, 1);
         for (q, sliced) in queries.iter().zip(&fused.per_query) {
-            let solo = sharded.query(&q.init, q.seed).unwrap();
-            assert_eq!(sliced.final_samples(), solo.store.final_samples());
+            let solo = sharded.query_fused(&one(&q.init, q.seed)).unwrap();
+            assert_eq!(sliced.final_samples(), solo.per_query[0].final_samples());
         }
         assert_eq!(sharded.queries_served(), 6);
     }
@@ -781,7 +727,7 @@ mod tests {
         let mut sharded =
             ShardedSampler::new(GpuSpec::small(), g.clone(), Box::new(Walk(6)), 3, 7).unwrap();
         sharded.schedule_faults(1, nextdoor_gpu::FaultPlan::new().lose_device_at_launch(2));
-        let a = sharded.query(&init, 42).unwrap();
+        let a = sharded.query_fused(&one(&init, 42)).unwrap();
         assert!(sharded.shard_lost(1));
         assert_eq!(sharded.shards_alive(), 2);
         assert!(a.walkers_lost > 0, "shard 1 owned walkers mid-run");
@@ -791,12 +737,15 @@ mod tests {
         let mut replay =
             ShardedSampler::new(GpuSpec::small(), g.clone(), Box::new(Walk(6)), 3, 7).unwrap();
         replay.schedule_faults(1, nextdoor_gpu::FaultPlan::new().lose_device_at_launch(2));
-        let b = replay.query(&init, 42).unwrap();
-        assert_eq!(a.store.final_samples(), b.store.final_samples());
+        let b = replay.query_fused(&one(&init, 42)).unwrap();
+        assert_eq!(
+            a.per_query[0].final_samples(),
+            b.per_query[0].final_samples()
+        );
         assert_eq!(a.walkers_lost, b.walkers_lost);
         // Surviving shards keep answering; lost walkers stay terminated.
-        let c = sharded.query(&init, 43).unwrap();
-        assert!(c.steps_run > 0);
+        let c = sharded.query_fused(&one(&init, 43)).unwrap();
+        assert!(!c.super_steps.is_empty());
     }
 
     #[test]
@@ -805,12 +754,12 @@ mod tests {
         let mut sharded =
             ShardedSampler::new(GpuSpec::small(), g.clone(), Box::new(Walk(6)), 2, 7).unwrap();
         sharded.schedule_faults(0, nextdoor_gpu::FaultPlan::new().transient_at_launch(3));
-        let out = sharded.query(&init, 42).unwrap();
+        let out = sharded.query_fused(&one(&init, 42)).unwrap();
         assert!(out.report.transient_faults > 0);
         assert!(out.report.step_retries > 0);
         let mut gpu = Gpu::new(GpuSpec::small());
         let solo = run_nextdoor(&mut gpu, &g, &Walk(6), &init, 42).unwrap();
-        assert_eq!(out.store.final_samples(), solo.store.final_samples());
+        assert_eq!(out.per_query[0].final_samples(), solo.store.final_samples());
     }
 
     #[test]
@@ -842,7 +791,6 @@ mod tests {
         assert!(home < 3);
         assert!(sharded.partition_stats().edge_cut_fraction > 0.0);
         assert_eq!(sharded.clustering().num_clusters(), 3);
-        assert!(sharded.shard_graph_bytes(0) > 0);
         assert_eq!(sharded.graph().num_vertices(), g.num_vertices());
         assert_eq!(sharded.app().name(), "walk");
     }

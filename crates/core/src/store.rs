@@ -16,7 +16,6 @@ pub struct SampleStore {
     steps: Vec<StepData>,
     roots: Vec<Vec<VertexId>>,
     edges: Vec<Vec<(VertexId, VertexId)>>,
-    lens: Vec<usize>,
 }
 
 /// One step's outputs: a dense `num_samples × slots` array with
@@ -33,7 +32,6 @@ impl SampleStore {
     /// Creates a store from the initial samples. Each sample's root set
     /// starts as a copy of its initial vertices.
     pub fn new(init: Vec<Vec<VertexId>>) -> Self {
-        let lens = init.iter().map(Vec::len).collect();
         let roots = init.clone();
         let n = init.len();
         SampleStore {
@@ -41,7 +39,6 @@ impl SampleStore {
             steps: Vec::new(),
             roots,
             edges: vec![Vec::new(); n],
-            lens,
         }
     }
 
@@ -71,25 +68,12 @@ impl SampleStore {
             self.num_samples() * slots,
             "step value array has wrong shape"
         );
-        for (s, len) in self.lens.iter_mut().enumerate() {
-            *len += values[s * slots..(s + 1) * slots]
-                .iter()
-                .filter(|&&v| v != NULL_VERTEX)
-                .count();
-        }
         self.steps.push(StepData { slots, values });
     }
 
     /// The dense output of `step` (format 2 of the paper).
     pub fn step_values(&self, step: usize) -> &StepData {
         &self.steps[step]
-    }
-
-    /// Whether any vertex was sampled at the most recent step.
-    pub fn last_step_live(&self) -> bool {
-        self.steps
-            .last()
-            .is_some_and(|st| st.values.iter().any(|&v| v != NULL_VERTEX))
     }
 
     /// Format 1 of the paper: every sample as the list of all its sampled
@@ -108,11 +92,6 @@ impl SampleStore {
                 out
             })
             .collect()
-    }
-
-    /// Current size of sample `s` (initial + sampled, NULLs excluded).
-    pub fn len_of(&self, s: usize) -> usize {
-        self.lens[s]
     }
 
     /// The evolving root set of sample `s` (multi-dimensional walks).
@@ -166,7 +145,6 @@ impl SampleStore {
                 .collect(),
             roots: self.roots[start..start + len].to_vec(),
             edges: self.edges[start..start + len].to_vec(),
-            lens: self.lens[start..start + len].to_vec(),
         }
     }
 
@@ -258,13 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn lens_track_non_null() {
-        let st = store2();
-        assert_eq!(st.len_of(0), 7);
-        assert_eq!(st.len_of(1), 5);
-    }
-
-    #[test]
     fn view_prev_vertex_walks_backwards() {
         let st = store2();
         let v = st.view(0, 2); // after both steps
@@ -295,16 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn last_step_live_detects_all_null() {
-        let mut st = SampleStore::new(vec![vec![0]]);
-        assert!(!st.last_step_live(), "no steps yet");
-        st.record_step(1, vec![7]);
-        assert!(st.last_step_live());
-        st.record_step(1, vec![NULL_VERTEX]);
-        assert!(!st.last_step_live());
-    }
-
-    #[test]
     fn roots_update() {
         let mut st = SampleStore::new(vec![vec![1, 2, 3]]);
         assert_eq!(st.roots_of(0), &[1, 2, 3]);
@@ -328,7 +289,6 @@ mod tests {
         let sub = st.slice(1, 1);
         assert_eq!(sub.num_samples(), 1);
         assert_eq!(sub.final_samples(), vec![vec![9, 3, 20, 22, 23]]);
-        assert_eq!(sub.len_of(0), st.len_of(1));
         assert_eq!(sub.edges_of(0), st.edges_of(1));
         assert_eq!(sub.roots_of(0), st.roots_of(1));
         assert_eq!(sub.step_values(0).slots, 2);

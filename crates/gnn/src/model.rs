@@ -109,26 +109,6 @@ impl GraphSageModel {
         self.w1.sgd_step(&dw1, lr);
         StepOutcome { loss, accuracy }
     }
-
-    /// Classification accuracy on a batch without updating weights.
-    pub fn evaluate(&self, roots: &[VertexId], samples: &[Vec<VertexId>]) -> f32 {
-        let x = self.batch_input(roots, samples);
-        let mut h = x.matmul(&self.w1);
-        let _ = h.relu_in_place();
-        let mut probs = h.matmul(&self.w2);
-        probs.softmax_rows();
-        let mut correct = 0;
-        for (r, &v) in roots.iter().enumerate() {
-            let y = crate::features::vertex_label(v, self.classes, self.feature_seed);
-            let pred = (0..self.classes)
-                .max_by(|&a, &b| probs.get(r, a).total_cmp(&probs.get(r, b)))
-                .expect("classes > 0");
-            if pred == y {
-                correct += 1;
-            }
-        }
-        correct as f32 / roots.len().max(1) as f32
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +143,8 @@ mod tests {
         for _ in 0..80 {
             model.train_step(&roots, &samples, 0.5);
         }
-        let acc = model.evaluate(&roots, &samples);
+        // A step reports the accuracy of the weights it starts from.
+        let acc = model.train_step(&roots, &samples, 0.5).accuracy;
         assert!(acc > 0.4, "accuracy {acc:.2} should beat 0.25 chance");
     }
 

@@ -234,7 +234,7 @@ impl Profile {
         &self.evicted
     }
 
-    /// Sum of every event recorded since the last reset — evicted and
+    /// Sum of every event the device recorded — evicted and
     /// buffered, in chronological order. Equals the device's global
     /// [`Counters`] exactly.
     pub fn total_counters(&self) -> Counters {
@@ -253,12 +253,6 @@ impl Profile {
             }
         }
         self.events.push_back(event);
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.events.clear();
-        self.evicted = Counters::default();
-        self.evicted_events = 0;
     }
 }
 

@@ -79,11 +79,6 @@ impl GpuSpec {
         s
     }
 
-    /// Maximum resident threads per SM.
-    pub fn max_threads_per_sm(&self) -> usize {
-        self.max_warps_per_sm * crate::warp::WARP_SIZE
-    }
-
     /// Number of blocks of `block_dim` threads and `shared_bytes` of shared
     /// memory that one SM can host concurrently — the minimum of the warp,
     /// block-slot and shared-memory limiters, at least 1. This is the
@@ -170,7 +165,7 @@ mod tests {
     fn v100_shape() {
         let s = GpuSpec::v100();
         assert_eq!(s.num_sms, 80);
-        assert_eq!(s.max_threads_per_sm(), 2048);
+        assert_eq!(s.max_warps_per_sm * crate::warp::WARP_SIZE, 2048);
     }
 
     #[test]

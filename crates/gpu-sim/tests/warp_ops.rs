@@ -370,7 +370,7 @@ fn radix_sort_launches_in_closed_form() {
                 _ => 3 * passes,
             };
             let got = launches_of(&mut gpu, |g| {
-                let _ = radix_sort_pairs(g, &kd, &vd, max_key);
+                radix_sort_pairs(g, &kd, &vd, max_key).unwrap();
             });
             assert_eq!(got, expect, "{n} keys, {passes} digit passes");
         }
@@ -386,10 +386,10 @@ fn single_pass_scan_and_run_length_launches_in_closed_form() {
         // An init launch and a sweep launch, whatever the tile count.
         let expect = if n == 0 { 0 } else { 2 };
         let scan = launches_of(&mut gpu, |g| {
-            let _ = exclusive_scan(g, &d);
+            exclusive_scan(g, &d).unwrap();
         });
         let rle = launches_of(&mut gpu, |g| {
-            let _ = run_length_encode(g, &d);
+            run_length_encode(g, &d).unwrap();
         });
         assert_eq!((scan, rle), (expect, expect), "{n} items");
     }
@@ -427,7 +427,7 @@ fn single_tile_sort_launch_shape_in_closed_form() {
     let mut gpu = Gpu::new(spec.clone());
     let keys: Vec<u32> = (0..512).rev().collect();
     let (kd, vd) = (gpu.to_device(&keys), gpu.to_device(&keys));
-    let _ = radix_sort_pairs(&mut gpu, &kd, &vd, 16_383);
+    radix_sort_pairs(&mut gpu, &kd, &vd, 16_383).unwrap();
     let rec = record(&gpu, "radix_single_tile");
     assert_eq!((rec.grid_dim, rec.block_dim), (1, 256));
     // 256 digit counters plus an exchange buffer of one tile, 4 bytes each.
@@ -443,7 +443,7 @@ fn single_pass_scan_launch_shape_in_closed_form() {
     let spec = v100_4sm();
     let mut gpu = Gpu::new(spec.clone());
     let d = gpu.to_device(&[1u32; 512]);
-    let _ = exclusive_scan(&mut gpu, &d);
+    exclusive_scan(&mut gpu, &d).unwrap();
     let sweep = record(&gpu, "scan_tiles");
     assert_eq!((sweep.grid_dim, sweep.block_dim), (2, 256));
     // One aggregate per warp plus the tile prefix.

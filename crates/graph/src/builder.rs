@@ -38,8 +38,8 @@ impl std::error::Error for BuildError {}
 
 /// Builds a [`Csr`] graph from an in-memory edge list.
 ///
-/// Duplicate edges and self-loops are optionally removed; adjacency lists are
-/// always sorted. By default the builder produces a directed graph; enable
+/// Parallel edges are collapsed, self-loops are dropped and adjacency lists
+/// are sorted. By default the builder produces a directed graph; enable
 /// [`GraphBuilder::undirected`] to insert the reverse of every edge.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
@@ -48,8 +48,6 @@ pub struct GraphBuilder {
     weights: Vec<f32>,
     weighted: Option<bool>,
     undirected: bool,
-    dedup: bool,
-    drop_self_loops: bool,
 }
 
 impl GraphBuilder {
@@ -61,8 +59,6 @@ impl GraphBuilder {
             weights: Vec::new(),
             weighted: None,
             undirected: false,
-            dedup: true,
-            drop_self_loops: true,
         }
     }
 
@@ -105,18 +101,6 @@ impl GraphBuilder {
         self
     }
 
-    /// When `true` (the default), parallel edges are collapsed.
-    pub fn dedup(mut self, yes: bool) -> Self {
-        self.dedup = yes;
-        self
-    }
-
-    /// When `true` (the default), self-loops are dropped.
-    pub fn drop_self_loops(mut self, yes: bool) -> Self {
-        self.drop_self_loops = yes;
-        self
-    }
-
     /// Finalises the builder into a [`Csr`] graph.
     ///
     /// Runs in `O(V + E log E)`.
@@ -141,7 +125,7 @@ impl GraphBuilder {
         let mut triples: Vec<(VertexId, VertexId, f32)> =
             Vec::with_capacity(self.edges.len() * if self.undirected { 2 } else { 1 });
         for (i, &(s, d)) in self.edges.iter().enumerate() {
-            if self.drop_self_loops && s == d {
+            if s == d {
                 continue;
             }
             let w = if weighted { self.weights[i] } else { 1.0 };
@@ -151,9 +135,7 @@ impl GraphBuilder {
             }
         }
         triples.sort_unstable_by_key(|t| (t.0, t.1));
-        if self.dedup {
-            triples.dedup_by_key(|t| (t.0, t.1));
-        }
+        triples.dedup_by_key(|t| (t.0, t.1));
 
         let mut offsets = vec![0usize; n + 1];
         for &(s, _, _) in &triples {
@@ -202,25 +184,12 @@ mod tests {
     fn dedup_collapses_parallel_edges() {
         let g = GraphBuilder::new(2).edge(0, 1).edge(0, 1).build().unwrap();
         assert_eq!(g.num_edges(), 1);
-        let g2 = GraphBuilder::new(2)
-            .edge(0, 1)
-            .edge(0, 1)
-            .dedup(false)
-            .build()
-            .unwrap();
-        assert_eq!(g2.num_edges(), 2);
     }
 
     #[test]
-    fn self_loops_dropped_by_default() {
+    fn self_loops_are_dropped() {
         let g = GraphBuilder::new(2).edge(0, 0).edge(0, 1).build().unwrap();
         assert_eq!(g.neighbors(0), &[1]);
-        let g2 = GraphBuilder::new(2)
-            .edge(0, 0)
-            .drop_self_loops(false)
-            .build()
-            .unwrap();
-        assert_eq!(g2.neighbors(0), &[0]);
     }
 
     #[test]

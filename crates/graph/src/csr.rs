@@ -122,14 +122,6 @@ impl Csr {
         self.row_offsets[v as usize + 1] - self.row_offsets[v as usize]
     }
 
-    /// The maximum out-degree over all vertices.
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices() as VertexId)
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Sorted out-neighbour slice of vertex `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
@@ -189,21 +181,6 @@ impl Csr {
     #[inline]
     pub fn max_edge_weight(&self, v: VertexId) -> f32 {
         self.max_weights.as_ref().map_or(1.0, |m| m[v as usize])
-    }
-
-    /// Inclusive prefix sums of `v`'s edge weights.
-    ///
-    /// Mirrors the prefix-sum utility of the paper's `Vertex` class, used by
-    /// weight-biased sampling (DeepWalk on weighted graphs).
-    pub fn weight_prefix_sums(&self, v: VertexId) -> Vec<f32> {
-        let d = self.degree(v);
-        let mut out = Vec::with_capacity(d);
-        let mut acc = 0.0f32;
-        for i in 0..d {
-            acc += self.edge_weight(v, i);
-            out.push(acc);
-        }
-        out
     }
 
     /// Whether the graph carries edge weights.
@@ -286,49 +263,6 @@ impl Csr {
         }
         Self::assemble(offsets, cols, ws)
     }
-
-    /// Returns the induced subgraph on `vertices` together with the mapping
-    /// from new vertex ids to original ids.
-    ///
-    /// Vertex `i` of the subgraph corresponds to `vertices[i]`; edges whose
-    /// endpoint falls outside `vertices` are dropped. Used by the
-    /// out-of-GPU-memory sampling mode (§8.4) and by ClusterGCN.
-    pub fn induced_subgraph(&self, vertices: &[VertexId]) -> (Csr, Vec<VertexId>) {
-        let mut remap = vec![VertexId::MAX; self.num_vertices()];
-        for (new, &old) in vertices.iter().enumerate() {
-            remap[old as usize] = new as VertexId;
-        }
-        let mut offsets = Vec::with_capacity(vertices.len() + 1);
-        offsets.push(0usize);
-        let mut cols = Vec::new();
-        let mut ws = self.weights.as_ref().map(|_| Vec::new());
-        for &old in vertices {
-            for (i, &nbr) in self.neighbors(old).iter().enumerate() {
-                let mapped = remap[nbr as usize];
-                if mapped != VertexId::MAX {
-                    cols.push(mapped);
-                    if let Some(ws) = ws.as_mut() {
-                        ws.push(self.edge_weight(old, i));
-                    }
-                }
-            }
-            // Re-sort this row: remapping does not preserve order.
-            let lo = *offsets.last().unwrap();
-            let row = &mut cols[lo..];
-            if let Some(wsv) = ws.as_mut() {
-                let mut perm: Vec<usize> = (0..row.len()).collect();
-                perm.sort_by_key(|&i| row[i]);
-                let sorted_cols: Vec<_> = perm.iter().map(|&i| row[i]).collect();
-                let sorted_ws: Vec<_> = perm.iter().map(|&i| wsv[lo + i]).collect();
-                row.copy_from_slice(&sorted_cols);
-                wsv[lo..].copy_from_slice(&sorted_ws);
-            } else {
-                row.sort_unstable();
-            }
-            offsets.push(cols.len());
-        }
-        (Csr::from_parts(offsets, cols, ws), vertices.to_vec())
-    }
 }
 
 /// SplitMix64 finaliser, used for deterministic weight generation.
@@ -358,7 +292,6 @@ mod tests {
         assert_eq!(g.degree(3), 0);
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.neighbor(1, 0), 3);
-        assert_eq!(g.max_degree(), 2);
         assert!((g.avg_degree() - 1.0).abs() < 1e-12);
     }
 
@@ -378,7 +311,6 @@ mod tests {
         assert_eq!(g.edge_weight(0, 1), 1.0);
         assert_eq!(g.max_edge_weight(0), 1.0);
         assert_eq!(g.max_edge_weight(3), 1.0);
-        assert_eq!(g.weight_prefix_sums(0), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -404,10 +336,9 @@ mod tests {
     }
 
     #[test]
-    fn max_weight_and_prefix_sums() {
+    fn max_weight_reads_the_row_maximum() {
         let g = Csr::from_parts(vec![0, 3], vec![0, 0, 0], Some(vec![2.0, 5.0, 3.0]));
         assert_eq!(g.max_edge_weight(0), 5.0);
-        assert_eq!(g.weight_prefix_sums(0), vec![2.0, 7.0, 10.0]);
     }
 
     #[test]
@@ -416,28 +347,6 @@ mod tests {
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 0);
         assert_eq!(g.neighbors(0), &[] as &[VertexId]);
-        assert_eq!(g.max_degree(), 0);
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges() {
-        let g = diamond();
-        let (sub, map) = g.induced_subgraph(&[0, 1, 3]);
-        assert_eq!(map, vec![0, 1, 3]);
-        assert_eq!(sub.num_vertices(), 3);
-        // 0 -> {1} (edge to 2 dropped), 1 -> {2} (old 3), 2 -> {}.
-        assert_eq!(sub.neighbors(0), &[1]);
-        assert_eq!(sub.neighbors(1), &[2]);
-        assert_eq!(sub.neighbors(2), &[] as &[VertexId]);
-    }
-
-    #[test]
-    fn induced_subgraph_preserves_weights() {
-        let g = diamond().with_random_weights(1.0, 5.0, 7);
-        let w01 = g.edge_weight(0, 0);
-        let (sub, _) = g.induced_subgraph(&[0, 1]);
-        assert!(sub.is_weighted());
-        assert_eq!(sub.edge_weight(0, 0), w01);
     }
 
     #[test]

@@ -59,25 +59,6 @@ impl DegreeStats {
     }
 }
 
-/// Histogram of out-degrees in power-of-two buckets: bucket `i` counts
-/// vertices with degree in `[2^i, 2^(i+1))`; bucket 0 also counts degree 0.
-pub fn degree_histogram(g: &Csr) -> Vec<usize> {
-    let mut buckets = Vec::new();
-    for v in 0..g.num_vertices() as VertexId {
-        let d = g.degree(v);
-        let b = if d <= 1 {
-            0
-        } else {
-            (usize::BITS - d.leading_zeros() - 1) as usize
-        };
-        if b >= buckets.len() {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,22 +89,6 @@ mod tests {
         assert_eq!(s.max, 10);
         assert_eq!(s.min, 1);
         assert!(s.skew() > 1.0);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        // Degrees: 0, 1, 2, 4 -> buckets 0, 0, 1, 2.
-        let g = GraphBuilder::new(8)
-            .edge(1, 0)
-            .edge(2, 0)
-            .edge(2, 1)
-            .edges((0..4).map(|i| (3, 4 + i)))
-            .build()
-            .unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h[0], 6); // vertices 0, 1 (deg<=1) and 4..8 (deg 0)
-        assert_eq!(h[1], 1); // vertex 2 (deg 2)
-        assert_eq!(h[2], 1); // vertex 3 (deg 4)
     }
 
     #[test]

@@ -23,7 +23,7 @@ use nextdoor::core::tuning::{CacheConfig, TunerConfig};
 use nextdoor::core::{
     classify_kernel, initial_samples_random, run_cpu, run_cpu_keyed, run_nextdoor,
     run_sample_parallel, run_vanilla_tp, KernelPhase, NextDoorError, RunResult, SampleKeys,
-    SampleStore, SamplerSession, SamplingApp, SamplingType, ShardedSampler, Steps,
+    SampleStore, SamplerSession, SamplingApp, SamplingType, SessionQuery, ShardedSampler, Steps,
 };
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec, Profile};
 use nextdoor::graph::{Csr, Dataset, GraphBuilder, VertexId};
@@ -540,11 +540,15 @@ fn run_placement(
                 Err(e) => return Err(format!("construction failed: {e}")),
             };
             sharded.schedule_faults(seed as usize % case.shards, case.faults.clone());
-            let res = sharded.query(init, seed);
+            let query = SessionQuery {
+                init: init.to_vec(),
+                seed,
+            };
+            let res = sharded.query_fused(&[query]);
             (0..case.shards).for_each(|s| reach.saw(sharded.shard_gpu(s).profile()));
             let outcome = match res {
                 Ok(out) if out.walkers_lost > 0 => Err(Failure::WalkersLost(out.walkers_lost)),
-                Ok(out) => Ok(out.store),
+                Ok(mut out) => Ok(out.per_query.swap_remove(0)),
                 Err(e) => Err(Failure::Engine(e)),
             };
             (uniform(), vec![(0..n, outcome)])

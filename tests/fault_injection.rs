@@ -6,10 +6,13 @@
 mod common;
 
 use common::{cpu_digest, digest};
-use nextdoor::apps::KHop;
+use nextdoor::apps::{DeepWalk, KHop};
 use nextdoor::core::multi_gpu::run_nextdoor_multi_gpu;
-use nextdoor::core::{initial_samples_random, run_nextdoor, NextDoorError};
+use nextdoor::core::{
+    initial_samples_random, run_nextdoor, GpuGraph, NextDoorError, SamplerSession,
+};
 use nextdoor::gpu::{FaultPlan, Gpu, GpuSpec};
+use nextdoor::graph::gen::{rmat, RmatParams};
 use nextdoor::graph::{Csr, Dataset, VertexId};
 
 /// The PPI stand-in with `n` one-root samples.
@@ -143,4 +146,37 @@ fn invalid_inputs_are_typed_errors() {
     let out_of_range = vec![vec![graph.num_vertices() as u32 + 7]];
     let res = run_nextdoor(&mut gpu, &graph, &app, &out_of_range, 1);
     assert!(matches!(res, Err(NextDoorError::RootOutOfRange { .. })));
+}
+
+/// A device too small for a query's working set fails the query with a
+/// typed `OutOfMemory`, never a panic, at every size from the graph's own
+/// footprint up: every allocation of a step, the scheduling index's sort,
+/// scan and run-length passes included, takes the fallible path.
+#[test]
+fn device_memory_exhaustion_is_a_typed_error_at_every_size() {
+    let graph = rmat(10, 8000, RmatParams::SKEWED, 3);
+    let init = initial_samples_random(&graph, 2000, 1, 5).unwrap();
+    let mut spec = GpuSpec::small();
+    spec.host_threads = 1;
+    let footprint = GpuGraph::upload(&mut Gpu::new(spec.clone()), &graph)
+        .unwrap()
+        .size_bytes();
+    let (mut ok, mut oom) = (0, 0);
+    for extra in (0..=200_000).step_by(512) {
+        spec.device_memory = footprint + extra;
+        let app = Box::new(DeepWalk::new(3));
+        let mut session = SamplerSession::new(spec.clone(), graph.clone(), app).unwrap();
+        match session.query(&init, 7) {
+            Ok(_) => ok += 1,
+            Err(NextDoorError::OutOfMemory(_)) => oom += 1,
+            Err(e) => panic!(
+                "{} device bytes: unexpected error {e:?}",
+                spec.device_memory
+            ),
+        }
+    }
+    assert!(
+        ok > 0 && oom > 0,
+        "the sweep must span both outcomes ({ok} ok, {oom} out of memory)"
+    );
 }

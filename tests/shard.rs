@@ -4,7 +4,7 @@
 //! The contract under test, end to end:
 //!
 //! * **bit-identity**: for any graph, shard count, supported app and fault
-//!   script on any shard, `ShardedSampler::query` produces the CPU
+//!   script on any shard, `ShardedSampler::query_fused` produces the CPU
 //!   oracle's store for the same `(graph, app, init, seed)` or reports the
 //!   walkers a lost shard ended — partitioning, cross-shard hand-off and
 //!   fault retries may change *where* and *how often* a draw executes,
